@@ -192,7 +192,8 @@ int run_bench(const std::optional<std::string>& json_path,
   grid.warmup = 4;
   const auto specs = grid.expand();
 
-  const auto report = runner::run_sweep(specs, {});
+  runner::SweepSummary e11;
+  for (const auto& r : runner::run_sweep(specs, {}).results) e11.add(r);
 
   util::Table table("E11: sweep summary — " + std::to_string(specs.size()) +
                     " scenarios (n in {4,7,9}, fault-free and max "
@@ -200,11 +201,11 @@ int run_bench(const std::optional<std::string>& json_path,
   table.set_header({"protocol", "scenarios", "infeasible", "errors",
                     "bound violations", "steady skew mean", "steady skew max",
                     "messages mean"});
-  for (const auto& s : report.by_protocol()) {
+  for (const auto& [protocol, s] : e11.protocols) {
     table.add_row(
-        {baselines::to_string(s.protocol), std::to_string(s.scenarios),
+        {baselines::to_string(protocol), std::to_string(s.scenarios),
          std::to_string(s.infeasible), std::to_string(s.errors),
-         std::to_string(s.bound_violations),
+         std::to_string(s.bound_misses),
          s.steady_skew.count() ? util::Table::num(s.steady_skew.mean(), 4) : "-",
          s.steady_skew.count() ? util::Table::num(s.steady_skew.max(), 4) : "-",
          s.messages.count() ? util::Table::num(s.messages.mean(), 1) : "-"});

@@ -81,6 +81,7 @@
 //                  envelope itself: fresh edges get the settling allowance,
 //                  settled edges must sit inside the O(log n) band, which is
 //                  exactly where jump-to-max fails and gradient passes
+//                  (every gate RATIO must be >= 0)
 //   --budget-ms=N  per-scenario wall-clock budget: a cell that exhausts it
 //                  is aborted and exported with timed_out=1 instead of
 //                  hanging the sweep
@@ -108,8 +109,10 @@
 //   --format=csv|json|table (default table)   --out=FILE (default stdout)
 //
 // Exit status is non-zero if any scenario errored or timed out, any feasible
-// fault-free CPS scenario exceeded its Theorem-17 skew bound, or the --gate
+// fault-free CPS scenario exceeded its Theorem-17 skew bound, or a --gate*
 // or --gate-trend tripped. Malformed flag values exit 2 naming the flag.
+// Relay cells whose D_f is a sampled lower bound are counted in one stderr
+// line after the sweep (their rows export d_eff_exact=0).
 
 #include <cstdint>
 #include <exception>
@@ -169,7 +172,8 @@ std::uint64_t need_u64(const std::string& key, const std::string& value) {
   return *parsed;
 }
 
-void print_table(std::ostream& os, const runner::SweepReport& report) {
+void print_table(std::ostream& os, const runner::SweepReport& report,
+                 const runner::SweepSummary& sweep) {
   util::Table table("scenario sweep (" +
                     std::to_string(report.results.size()) + " scenarios)");
   table.set_header({"scenario", "feasible", "live", "steady skew", "bound",
@@ -191,11 +195,11 @@ void print_table(std::ostream& os, const runner::SweepReport& report) {
   summary.set_header({"protocol", "scenarios", "infeasible", "errors",
                       "timed out", "bound violations", "steady skew mean",
                       "steady skew max", "messages mean"});
-  for (const auto& s : report.by_protocol()) {
+  for (const auto& [protocol, s] : sweep.protocols) {
     summary.add_row(
-        {baselines::to_string(s.protocol), std::to_string(s.scenarios),
+        {baselines::to_string(protocol), std::to_string(s.scenarios),
          std::to_string(s.infeasible), std::to_string(s.errors),
-         std::to_string(s.timed_out), std::to_string(s.bound_violations),
+         std::to_string(s.timed_out), std::to_string(s.bound_misses),
          s.steady_skew.count() ? util::Table::num(s.steady_skew.mean(), 4) : "-",
          s.steady_skew.count() ? util::Table::num(s.steady_skew.max(), 4) : "-",
          s.messages.count() ? util::Table::num(s.messages.mean(), 1) : "-"});
@@ -227,10 +231,11 @@ int main(int argc, char** argv) {
   std::size_t checkpoint_every = 32;
   bool st_accel = false;
   bool n_given = false;
-  std::optional<double> gate;
-  std::optional<double> gate_local;
-  std::optional<double> gate_kllo;
   std::optional<double> gate_trend;
+  // Streaming accumulators: the gates, the history line, and the fault-free
+  // CPS auto-gate are all computed row by row, so the campaign path never
+  // retains a report.
+  runner::SweepSummary summary;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -427,12 +432,11 @@ int main(int argc, char** argv) {
         if (threads > 1024)
           return fail("--threads takes a count <= 1024, got '" + value + "'");
         options.threads = static_cast<unsigned>(threads);
-      } else if (key == "gate") {
-        gate = need_double(key, value);
-      } else if (key == "gate-local" || key == "gate_local") {
-        gate_local = need_double(key, value);
-      } else if (key == "gate-kllo" || key == "gate_kllo") {
-        gate_kllo = need_double(key, value);
+      } else if (const runner::Column* column = runner::gate_column(key)) {
+        const double ratio = need_double(key, value);
+        if (ratio < 0.0)
+          return fail("--" + key + " takes a ratio >= 0, got '" + value + "'");
+        summary.arm_gate(*column, ratio);
       } else if (key == "gate-trend" || key == "gate_trend") {
         const double pct = need_double(key, value);
         if (pct < 0.0)
@@ -500,13 +504,6 @@ int main(int argc, char** argv) {
   }
   if (specs.empty()) return fail("empty grid");
 
-  // Streaming accumulators: the gate, the history line, and the fault-free
-  // CPS auto-gate are all computed row by row, so the campaign path never
-  // retains a report.
-  runner::SweepSummary summary;
-  summary.gate_ratio = gate;
-  summary.local_gate_ratio = gate_local;
-  summary.kllo_gate_ratio = gate_kllo;
   bool cps_bound_violated = false;
   auto note = [&](const runner::ScenarioResult& r) {
     summary.add(r);
@@ -575,29 +572,26 @@ int main(int argc, char** argv) {
     if (format == "json")
       runner::write_json(os, report);
     else
-      print_table(os, report);
+      print_table(os, report, summary);
   }
 
+  // One counted line, not a warning per analysis: sampled D_f is a lower bound.
+  if (summary.sampled_df_cells > 0)
+    std::cerr << "sweep_cli: sampled D_f on " << summary.sampled_df_cells
+              << " of " << summary.relay_cells
+              << " relay cells (d_eff_exact=0)\n";
+
   // Gates: no errors or budget timeouts; fault-free CPS always within the
-  // Theorem-17 bound; the optional --gate ratio over every world's
-  // realized-vs-bound ratio; and the optional --gate-trend regression check
-  // against the recorded history baseline.
+  // Theorem-17 bound; the armed metric-table gates (--gate, --gate-local,
+  // --gate-kllo); and the optional --gate-trend regression check against
+  // the recorded history baseline.
   int status = 0;
   if (summary.errors > 0 || summary.timed_out > 0) status = 1;
   if (cps_bound_violated) status = 1;
-  if (gate && summary.gate_violations > 0) {
-    std::cerr << "sweep_cli: --gate=" << *gate << " tripped by "
-              << summary.gate_violations << " scenario(s)\n";
-    status = 1;
-  }
-  if (gate_local && summary.local_gate_violations > 0) {
-    std::cerr << "sweep_cli: --gate-local=" << *gate_local << " tripped by "
-              << summary.local_gate_violations << " scenario(s)\n";
-    status = 1;
-  }
-  if (gate_kllo && summary.kllo_gate_violations > 0) {
-    std::cerr << "sweep_cli: --gate-kllo=" << *gate_kllo << " tripped by "
-              << summary.kllo_gate_violations << " scenario(s)\n";
+  for (const auto& g : summary.gates) {
+    if (g.violations == 0) continue;
+    std::cerr << "sweep_cli: --" << g.column->gate << "=" << g.ratio
+              << " tripped by " << g.violations << " scenario(s)\n";
     status = 1;
   }
 

@@ -10,7 +10,9 @@
 #   * jump-to-max blows through the same gate on the same grid (nonzero
 #     exit) — the negative control that keeps the gate honest,
 #   * edge_age_min / kllo_ratio export for every dynamic row and the grid
-#     replays byte-identically (schedules and ages derive from the seed).
+#     replays byte-identically (schedules and ages derive from the seed),
+#   * a negative gate ratio (--gate, --gate-local, --gate-kllo) is a
+#     malformed flag: exit 2 naming it, before any cell runs.
 #
 # Usage: smoke_sweep_kllo.sh <path-to-sweep_cli> <workdir>
 set -euo pipefail
@@ -65,5 +67,17 @@ awk -F, '
     if (tripped < 1) { print "no jump-max row above the envelope"; exit 1 }
   }
 ' "$DIR/jump_max.csv"
+
+echo "== negative gate ratios are malformed flags (exit 2, flag named) =="
+for flag in --gate=-1 --gate-local=-1 --gate-kllo=-5 --gate_kllo=-0.5; do
+  status=0
+  "$CLI" --protocols=cps --n=4 --rounds=2 --warmup=0 "$flag" \
+         --format=csv --out=/dev/null 2> "$DIR/negative_gate.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q -- "${flag%%=*}" "$DIR/negative_gate.err"
+  then
+    echo "smoke_sweep_kllo: $flag exited $status instead of 2 naming the flag"
+    exit 1
+  fi
+done
 
 echo "smoke_sweep_kllo: OK"

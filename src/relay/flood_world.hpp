@@ -141,8 +141,8 @@ struct RelayEffective {
 /// it both degrade together — D_f comes from the sampled walk and the
 /// configured faulty set is verified exactly (connectivity + distances), so
 /// the result is guaranteed sound for the adversary this config
-/// instantiates though still a lower bound over all possible fault sets (a
-/// CS_WARN records this).
+/// instantiates though still a lower bound over all possible fault sets
+/// (RelayEffective::exact records this).
 [[nodiscard]] RelayEffective compute_effective(const RelayConfig& config);
 
 /// Convenience wrapper around compute_effective for callers that only need

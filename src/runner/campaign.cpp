@@ -1,9 +1,8 @@
 #include "runner/campaign.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "runner/export.hpp"
+#include "runner/metrics.hpp"
 
 namespace crusader::runner {
 
@@ -71,32 +71,6 @@ Manifest parse_manifest(const std::string& path, std::string content,
     manifest.keys.push_back(*key);
   }
   return manifest;
-}
-
-/// Column indices the replay needs, resolved from the header once.
-struct ReplayColumns {
-  std::size_t seed, feasible, live, rounds_completed, within_bound, skew_ratio,
-      local_skew, local_skew_ratio, kllo_ratio, edge_age_min, timed_out, error;
-};
-
-ReplayColumns resolve_columns(const std::vector<std::string>& header) {
-  auto find = [&](std::string_view name) {
-    for (std::size_t i = 0; i < header.size(); ++i)
-      if (header[i] == name) return i;
-    bail("recorded CSV lacks column '" + std::string(name) + "'");
-  };
-  return ReplayColumns{find("seed"),
-                       find("feasible"),
-                       find("live"),
-                       find("rounds_completed"),
-                       find("within_bound"),
-                       find("skew_ratio"),
-                       find("local_skew"),
-                       find("local_skew_ratio"),
-                       find("kllo_ratio"),
-                       find("edge_age_min"),
-                       find("timed_out"),
-                       find("error")};
 }
 
 }  // namespace
@@ -163,56 +137,30 @@ CsvCampaign::CsvCampaign(Options options,
   // that machine at that moment), not a measurement — keeping it would bake
   // a transient timeout into the campaign forever — so the prefix is cut
   // there and the cell (and everything after it) re-runs.
-  if (done_ > 0) {
-    const auto columns =
-        resolve_columns(parse_csv_fields(
-            std::string_view(*csv_content).substr(0, ends[0] - 1)));
-    for (std::size_t i = 0; i < done_; ++i) {
-      const std::string_view record =
-          std::string_view(*csv_content)
-              .substr(ends[i], ends[i + 1] - ends[i] - 1);
-      const auto row = parse_csv_fields(record);
-      if (row.size() <= columns.error)
-        bail("recorded row #" + std::to_string(i) + " is malformed");
-      ScenarioResult result;
-      result.spec = specs[i];
-      result.seed = scenario_seed(specs[i], options_.base_seed);
-      if (row[columns.seed] != std::to_string(result.seed))
-        bail("recorded row #" + std::to_string(i) +
-             " has seed " + row[columns.seed] + ", expected " +
-             std::to_string(result.seed) +
-             "; was this campaign run under a different --seed?");
-      result.timed_out = row[columns.timed_out] == "1";
-      if (result.timed_out) {
-        done_ = i;  // retry the timed-out cell and the rows after it
-        break;
-      }
-      result.feasible = row[columns.feasible] == "1";
-      result.live = row[columns.live] == "1";
-      const auto rounds = parse_u64_strict(row[columns.rounds_completed]);
-      result.rounds_completed =
-          rounds ? static_cast<std::size_t>(*rounds) : 0;
-      result.within_bound = row[columns.within_bound] == "1";
-      const auto ratio = parse_double_strict(row[columns.skew_ratio]);
-      result.skew_ratio =
-          ratio ? *ratio : std::numeric_limits<double>::quiet_NaN();
-      const auto local = parse_double_strict(row[columns.local_skew]);
-      result.local_skew =
-          local ? *local : std::numeric_limits<double>::quiet_NaN();
-      const auto lratio = parse_double_strict(row[columns.local_skew_ratio]);
-      result.local_skew_ratio =
-          lratio ? *lratio : std::numeric_limits<double>::quiet_NaN();
-      // Replayed so resumed campaigns feed --gate-kllo and the history
-      // k-tokens identically to a fresh run.
-      const auto kratio = parse_double_strict(row[columns.kllo_ratio]);
-      result.kllo_ratio =
-          kratio ? *kratio : std::numeric_limits<double>::quiet_NaN();
-      const auto age = parse_double_strict(row[columns.edge_age_min]);
-      result.edge_age_min =
-          age ? *age : std::numeric_limits<double>::quiet_NaN();
-      result.error = row[columns.error];
-      if (replay) replay(result);
+  const auto table = columns();
+  for (std::size_t i = 0; i < done_; ++i) {
+    const std::string_view record =
+        std::string_view(*csv_content)
+            .substr(ends[i], ends[i + 1] - ends[i] - 1);
+    const auto row = parse_csv_fields(record);
+    // The header matched the current schema, so cell c is column c.
+    if (row.size() != table.size())
+      bail("recorded row #" + std::to_string(i) + " is malformed");
+    ScenarioResult result;
+    result.spec = specs[i];
+    for (std::size_t c = 0; c < table.size(); ++c)
+      if (table[c].replay) table[c].replay(row[c], result);
+    const std::uint64_t seed = scenario_seed(specs[i], options_.base_seed);
+    if (result.seed != seed)
+      bail("recorded row #" + std::to_string(i) + " has seed " +
+           std::to_string(result.seed) + ", expected " +
+           std::to_string(seed) +
+           "; was this campaign run under a different --seed?");
+    if (result.timed_out) {
+      done_ = i;  // retry the timed-out cell and the rows after it
+      break;
     }
+    if (replay) replay(result);
   }
 
   // Trim both files to the reconciled prefix, then reopen for append.

@@ -48,8 +48,9 @@ class CsvCampaign {
   };
 
   /// Minimal reconstruction of a recorded row, for replaying gates and
-  /// summaries without retaining the full result. Fields the replay cannot
-  /// recover (period/quantile metrics, op counts) stay at their defaults.
+  /// summaries without retaining the full result: the spec, plus the
+  /// columns the metric table marks `replay`. Other members stay at their
+  /// defaults.
   using ReplayFn = std::function<void(const ScenarioResult&)>;
 
   /// Opens (or creates) the campaign for `specs`. When the files exist,

@@ -1,20 +1,15 @@
 #include "runner/export.hpp"
 
-#include <cmath>
 #include <cstddef>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "util/fmt.hpp"
 
 namespace crusader::runner {
 
 namespace {
-
-using util::fmt_double;
-constexpr auto fmt = fmt_double;
 
 std::string csv_quote(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
@@ -27,7 +22,7 @@ std::string csv_quote(const std::string& s) {
   return out;
 }
 
-std::string json_quote(const std::string& s) {
+std::string json_quote(std::string_view s) {
   std::string out = "\"";
   for (const char c : s) {
     switch (c) {
@@ -50,150 +45,29 @@ std::string json_quote(const std::string& s) {
   return out;
 }
 
-struct Field {
-  std::string name;
-  std::string value;   // already formatted
-  bool quoted = false; // string-typed in JSON
-  bool null = false;   // NaN metric: empty cell / JSON null
-};
-
-std::vector<Field> fields(const ScenarioResult& r) {
-  const auto& s = r.spec;
-  auto metric = [](double v) {
-    const bool absent = !std::isfinite(v);  // NaN or ±inf (e.g. empty inf/sup)
-    return Field{"", absent ? "" : fmt(v), false, absent};
-  };
-  std::vector<Field> out;
-  auto add = [&](const std::string& name, Field f) {
-    f.name = name;
-    out.push_back(std::move(f));
-  };
-  add("scenario", {"", s.name(), true});
-  add("protocol", {"", baselines::to_string(s.protocol), true});
-  add("world", {"", to_string(s.world), true});
-  add("topology",
-      {"", s.world == WorldKind::kRelay ? to_string(s.topology) : "-", true});
-  add("n", {"", std::to_string(s.n)});
-  add("f", {"", std::to_string(s.f)});
-  add("f_actual", {"", std::to_string(s.f_actual)});
-  add("d", {"", fmt(s.d)});
-  add("u", {"", fmt(s.u)});
-  add("u_tilde", {"", fmt(s.u_tilde)});
-  add("vartheta", {"", fmt(s.vartheta)});
-  // Custom policies export their spelling (e.g. "custom:target:3") — the
-  // placeholder DelayKind underneath would misattribute the adversary.
-  add("delay", {"",
-                s.custom_delay ? s.custom_delay->spelling()
-                               : sim::to_string(s.delay),
-                true});
-  add("clocks", {"", sim::to_string(s.clocks), true});
-  add("crypto", {"", to_string(s.crypto), true});
-  // The two fault-behavior columns mirror each other: "-" where the axis
-  // does not apply (byz is complete-only, relay_fault is relay-only),
-  // "none" where it applies but no faulty node is instantiated.
-  add("byz",
-      {"",
-       s.world != WorldKind::kComplete
-           ? "-"
-           : (s.f_actual == 0
-                  ? "none"
-                  : (s.st_accelerator ? "st-accel"
-                                      : core::to_string(s.strategy))),
-       true});
-  add("relay_fault",
-      {"",
-       s.world != WorldKind::kRelay
-           ? "-"
-           : (s.f_actual == 0 ? "none" : relay::to_string(s.relay_fault)),
-       true});
-  // Dynamic axes: numeric columns are relay-only (empty / JSON null
-  // elsewhere, like d_eff); the reconnect policy only means something on a
-  // dynamic cell, so static rows export the "-" placeholder.
-  add("churn_rate", s.world == WorldKind::kRelay
-                        ? Field{"", fmt(s.churn_rate)}
-                        : Field{"", "", false, true});
-  add("join_batch", s.world == WorldKind::kRelay
-                        ? Field{"", std::to_string(s.join_batch)}
-                        : Field{"", "", false, true});
-  add("reconnect",
-      {"", s.dynamic() ? relay::to_string(s.reconnect) : "-", true});
-  add("rounds", {"", std::to_string(s.rounds)});
-  add("warmup", {"", std::to_string(s.warmup)});
-  add("seed", {"", std::to_string(r.seed)});
-  add("feasible", {"", r.feasible ? "1" : "0"});
-  add("live", {"", r.live ? "1" : "0"});
-  add("rounds_completed", {"", std::to_string(r.rounds_completed)});
-  add("max_skew", metric(r.max_skew));
-  add("steady_skew", metric(r.steady_skew));
-  add("skew_p50", metric(r.skew_p50));
-  add("skew_p99", metric(r.skew_p99));
-  add("min_period", metric(r.min_period));
-  add("max_period", metric(r.max_period));
-  add("predicted_skew", metric(r.predicted_skew));
-  add("within_bound", {"", r.within_bound ? "1" : "0"});
-  add("skew_ratio", metric(r.skew_ratio));
-  add("local_skew", metric(r.local_skew));
-  add("local_skew_ratio", metric(r.local_skew_ratio));
-  add("d_eff", metric(r.d_eff));
-  add("u_eff", metric(r.u_eff));
-  // Relay-only like d_eff/u_eff: empty (JSON null) where not applicable, so
-  // consumers never mistake "no overlay" for a zero-hop overlay.
-  add("worst_hops", s.world == WorldKind::kRelay
-                        ? Field{"", std::to_string(r.worst_hops)}
-                        : Field{"", "", false, true});
-  // Sampled-vs-exact D_f regime as a real column (not just the CS_WARN), so
-  // history analytics can segment sampled cells.
-  add("d_eff_exact", s.world == WorldKind::kRelay
-                         ? Field{"", r.d_eff_exact ? "1" : "0"}
-                         : Field{"", "", false, true});
-  // KLLO per-edge-age envelope block (runner/kllo.hpp). The metrics are
-  // relay-only and NaN elsewhere, so metric() yields the empty/null cell;
-  // the stab multiplier is a spec axis like churn_rate (relay-only column).
-  add("edge_age_min", metric(r.edge_age_min));
-  add("kllo_stab", s.world == WorldKind::kRelay
-                       ? Field{"", fmt(s.kllo_stab)}
-                       : Field{"", "", false, true});
-  add("kllo_ratio", metric(r.kllo_ratio));
-  add("kllo_violations", s.world == WorldKind::kRelay
-                             ? Field{"", std::to_string(r.kllo_violations)}
-                             : Field{"", "", false, true});
-  // Adaptive-adversary block: populated only where the search loop ran
-  // (relay, instantiated faults, greedy-skew/search), empty / JSON null
-  // everywhere else so oblivious rows never read as zero-iteration attacks.
-  const bool attacked = s.world == WorldKind::kRelay && s.f_actual > 0 &&
-                        relay::adaptive(s.relay_fault);
-  add("attack_iters", attacked ? Field{"", std::to_string(r.attack_iters)}
-                               : Field{"", "", false, true});
-  add("attack_best_seed",
-      attacked ? Field{"", std::to_string(r.attack_best_seed)}
-               : Field{"", "", false, true});
-  add("messages", {"", std::to_string(r.messages)});
-  add("events", {"", std::to_string(r.events)});
-  add("sign_ops", {"", std::to_string(r.sign_ops)});
-  add("verify_ops", {"", std::to_string(r.verify_ops)});
-  add("signatures_carried", {"", std::to_string(r.signatures_carried)});
-  add("violations", {"", std::to_string(r.violations)});
-  add("timed_out", {"", r.timed_out ? "1" : "0"});
-  add("error", {"", r.error, true});
-  return out;
+/// The column's text in scope, otherwise its placeholder.
+std::string cell_text(const Column& column, const ScenarioResult& result) {
+  if (in_scope(column.scope, result.spec)) return column.text(result);
+  return column.format == Format::kText ? "-" : "";
 }
 
 }  // namespace
 
 std::string csv_header() {
-  const auto row = fields(ScenarioResult{});
   std::string out;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i) out += ',';
-    out += row[i].name;
+  for (const Column& column : columns()) {
+    if (!out.empty()) out += ',';
+    out += column.name;
   }
   return out;
 }
 
 void write_csv_row(std::ostream& os, const ScenarioResult& result) {
-  const auto row = fields(result);
-  for (std::size_t i = 0; i < row.size(); ++i)
-    os << (i ? "," : "") << csv_quote(row[i].value);
+  const char* sep = "";
+  for (const Column& column : columns()) {
+    os << sep << csv_quote(cell_text(column, result));
+    sep = ",";
+  }
   os << '\n';
 }
 
@@ -249,16 +123,18 @@ std::vector<std::string> parse_csv_fields(std::string_view line) {
 void write_json(std::ostream& os, const SweepReport& report) {
   os << "[\n";
   for (std::size_t i = 0; i < report.results.size(); ++i) {
-    const auto row = fields(report.results[i]);
     os << "  {";
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      os << (j ? ", " : "") << json_quote(row[j].name) << ": ";
-      if (row[j].null)
+    const char* sep = "";
+    for (const Column& column : columns()) {
+      const std::string value = cell_text(column, report.results[i]);
+      os << sep << json_quote(column.name) << ": ";
+      if (column.format == Format::kText)
+        os << json_quote(value);
+      else if (value.empty())
         os << "null";
-      else if (row[j].quoted)
-        os << json_quote(row[j].value);
       else
-        os << row[j].value;
+        os << value;
+      sep = ", ";
     }
     os << (i + 1 < report.results.size() ? "},\n" : "}\n");
   }

@@ -1,12 +1,11 @@
 #include "runner/history.hpp"
 
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
+#include <string_view>
 #include <utility>
 
 #include "runner/scenario.hpp"
@@ -27,6 +26,17 @@ constexpr auto fmt = fmt_double;
 // caller's concern (CI runs are sequential).
 util::Mutex g_append_mu;
 
+HistoryEntry::Triple triple_of(const util::OnlineStats& stats) {
+  if (stats.count() == 0) return {};
+  return {stats.max(), stats.mean(), stats.count()};
+}
+
+void put_triple(std::ostream& os, std::string_view prefix,
+                const HistoryEntry::Triple& t) {
+  os << prefix << "max=" << fmt(t.max) << ',' << prefix
+     << "mean=" << fmt(t.mean) << ',' << prefix << "count=" << t.count;
+}
+
 }  // namespace
 
 std::uint64_t grid_digest(const std::vector<ScenarioSpec>& specs,
@@ -45,29 +55,11 @@ HistoryEntry make_history_entry(const SweepSummary& summary,
   entry.cells = summary.scenarios;
   entry.errors = summary.errors;
   entry.timed_out = summary.timed_out;
-  for (const auto& w : summary.worlds) {
-    HistoryEntry::WorldRatio ratio;
-    ratio.world = w.world;
-    ratio.count = w.ratio.count();
-    if (ratio.count > 0) {
-      ratio.max = w.ratio.max();
-      ratio.mean = w.ratio.mean();
-    }
-    ratio.lcount = w.local.count();
-    if (ratio.lcount > 0) {
-      ratio.lmax = w.local.max();
-      ratio.lmean = w.local.mean();
-    }
-    ratio.kcount = w.kllo.count();
-    if (ratio.kcount > 0) {
-      ratio.kmax = w.kllo.max();
-      ratio.kmean = w.kllo.mean();
-    }
-    ratio.acount = w.adaptive.count();
-    if (ratio.acount > 0) {
-      ratio.amax = w.adaptive.max();
-      ratio.amean = w.adaptive.mean();
-    }
+  for (const auto& [world, stats] : summary.worlds) {
+    const HistoryEntry::Triple base = triple_of(stats.ratio);
+    HistoryEntry::WorldRatio ratio{world, base.max, base.mean, base.count};
+    for (std::size_t i = 0; i < kHistorySeries.size(); ++i)
+      ratio.series[i] = triple_of(stats.series[i]);
     entry.worlds.push_back(ratio);
   }
   return entry;
@@ -79,151 +71,108 @@ std::string format_history_line(const HistoryEntry& entry) {
      << " cells=" << entry.cells << " errors=" << entry.errors
      << " timed_out=" << entry.timed_out;
   for (const auto& w : entry.worlds) {
-    os << ' ' << to_string(w.world) << ":max=" << fmt(w.max)
-       << ",mean=" << fmt(w.mean) << ",count=" << w.count;
-    // Gradient stats ride the same token, appended only when dynamic cells
-    // contributed — grids without churn keep their historical bytes.
-    if (w.lcount > 0)
-      os << ",lmax=" << fmt(w.lmax) << ",lmean=" << fmt(w.lmean)
-         << ",lcount=" << w.lcount;
-    // KLLO envelope stats, same optionality: only dynamic relay cells feed
-    // kcount, so pre-KLLO grids format byte-identically.
-    if (w.kcount > 0)
-      os << ",kmax=" << fmt(w.kmax) << ",kmean=" << fmt(w.kmean)
-         << ",kcount=" << w.kcount;
-    // Adaptive-adversary stats, same optionality: only adaptive relay cells
-    // feed acount, so pre-adaptive grids format byte-identically.
-    if (w.acount > 0)
-      os << ",amax=" << fmt(w.amax) << ",amean=" << fmt(w.amean)
-         << ",acount=" << w.acount;
+    os << ' ' << to_string(w.world) << ':';
+    put_triple(os, "", {w.max, w.mean, w.count});
+    for (std::size_t i = 0; i < kHistorySeries.size(); ++i) {
+      if (w.series[i].count == 0) continue;
+      os << ',';
+      put_triple(os, kHistorySeries[i].prefix, w.series[i]);
+    }
   }
   return os.str();
 }
 
 std::optional<HistoryEntry> parse_history_line(std::string_view line) {
   // Tokenize on whitespace; reject anything that is not key=value or
-  // world:max=..,mean=..,count=.. so a corrupted line never half-parses
-  // into a bogus baseline.
+  // world:max=..,mean=..,count=..[,<series triples>], and any key or world
+  // given twice, so a corrupted line never half-parses into a bogus
+  // baseline.
   std::istringstream tokens{std::string(line)};
   std::string token;
+  if (!(tokens >> token) || token.front() == '#') return std::nullopt;
+
+  constexpr std::array<std::string_view, 5> kHeader = {
+      "seed", "grid", "cells", "errors", "timed_out"};
+  std::array<std::optional<std::uint64_t>, kHeader.size()> header;
   HistoryEntry entry;
-  bool seed_seen = false;
-  bool cells_seen = false;
-
-  auto parse_kv = [](std::string_view t, std::string_view key)
-      -> std::optional<std::string_view> {
-    if (t.size() <= key.size() + 1) return std::nullopt;
-    if (t.substr(0, key.size()) != key || t[key.size()] != '=')
-      return std::nullopt;
-    return t.substr(key.size() + 1);
-  };
-
-  if (!(tokens >> token)) return std::nullopt;
-  if (token.front() == '#') return std::nullopt;
-
   do {
-    if (const auto v = parse_kv(token, "seed")) {
-      const auto seed = parse_u64_strict(*v);
-      if (!seed) return std::nullopt;
-      entry.seed = *seed;
-      seed_seen = true;
-    } else if (const auto v = parse_kv(token, "grid")) {
-      const auto grid = parse_u64_strict(*v);
-      if (!grid) return std::nullopt;
-      entry.grid = *grid;
-    } else if (const auto v = parse_kv(token, "cells")) {
-      const auto cells = parse_u64_strict(*v);
-      if (!cells) return std::nullopt;
-      entry.cells = static_cast<std::size_t>(*cells);
-      cells_seen = true;
-    } else if (const auto v = parse_kv(token, "errors")) {
-      const auto errors = parse_u64_strict(*v);
-      if (!errors) return std::nullopt;
-      entry.errors = static_cast<std::size_t>(*errors);
-    } else if (const auto v = parse_kv(token, "timed_out")) {
-      const auto timed_out = parse_u64_strict(*v);
-      if (!timed_out) return std::nullopt;
-      entry.timed_out = static_cast<std::size_t>(*timed_out);
-    } else {
-      // world:max=..,mean=..,count=..
-      const auto colon = token.find(':');
-      if (colon == std::string::npos) return std::nullopt;
-      const auto world = parse_world(std::string_view(token).substr(0, colon));
-      if (!world) return std::nullopt;
-      HistoryEntry::WorldRatio ratio;
-      ratio.world = *world;
-      std::string_view rest = std::string_view(token).substr(colon + 1);
-      bool max_seen = false;
-      bool mean_seen = false;
-      bool count_seen = false;
-      while (!rest.empty()) {
-        const auto comma = rest.find(',');
-        const std::string_view part = rest.substr(0, comma);
-        rest = comma == std::string_view::npos ? std::string_view{}
-                                               : rest.substr(comma + 1);
-        if (const auto v = parse_kv(part, "max")) {
-          const auto max = parse_double_strict(*v);
-          if (!max) return std::nullopt;
-          ratio.max = *max;
-          max_seen = true;
-        } else if (const auto v = parse_kv(part, "mean")) {
-          const auto mean = parse_double_strict(*v);
-          if (!mean) return std::nullopt;
-          ratio.mean = *mean;
-          mean_seen = true;
-        } else if (const auto v = parse_kv(part, "count")) {
-          const auto count = parse_u64_strict(*v);
-          if (!count) return std::nullopt;
-          ratio.count = static_cast<std::size_t>(*count);
-          count_seen = true;
-        } else if (const auto v = parse_kv(part, "lmax")) {
-          const auto lmax = parse_double_strict(*v);
-          if (!lmax) return std::nullopt;
-          ratio.lmax = *lmax;
-        } else if (const auto v = parse_kv(part, "lmean")) {
-          const auto lmean = parse_double_strict(*v);
-          if (!lmean) return std::nullopt;
-          ratio.lmean = *lmean;
-        } else if (const auto v = parse_kv(part, "lcount")) {
-          const auto lcount = parse_u64_strict(*v);
-          if (!lcount) return std::nullopt;
-          ratio.lcount = static_cast<std::size_t>(*lcount);
-        } else if (const auto v = parse_kv(part, "kmax")) {
-          const auto kmax = parse_double_strict(*v);
-          if (!kmax) return std::nullopt;
-          ratio.kmax = *kmax;
-        } else if (const auto v = parse_kv(part, "kmean")) {
-          const auto kmean = parse_double_strict(*v);
-          if (!kmean) return std::nullopt;
-          ratio.kmean = *kmean;
-        } else if (const auto v = parse_kv(part, "kcount")) {
-          const auto kcount = parse_u64_strict(*v);
-          if (!kcount) return std::nullopt;
-          ratio.kcount = static_cast<std::size_t>(*kcount);
-        } else if (const auto v = parse_kv(part, "amax")) {
-          const auto amax = parse_double_strict(*v);
-          if (!amax) return std::nullopt;
-          ratio.amax = *amax;
-        } else if (const auto v = parse_kv(part, "amean")) {
-          const auto amean = parse_double_strict(*v);
-          if (!amean) return std::nullopt;
-          ratio.amean = *amean;
-        } else if (const auto v = parse_kv(part, "acount")) {
-          const auto acount = parse_u64_strict(*v);
-          if (!acount) return std::nullopt;
-          ratio.acount = static_cast<std::size_t>(*acount);
-        } else {
-          return std::nullopt;
-        }
-      }
-      // The l* tokens are optional (pre-dynamic lines lack them); the
-      // global triple stays mandatory.
-      if (!max_seen || !mean_seen || !count_seen) return std::nullopt;
-      entry.worlds.push_back(ratio);
+    const std::string_view t = token;
+    const auto eq = t.find('=');
+    const auto colon = t.find(':');
+    if (colon == std::string_view::npos || eq < colon) {  // header key=value
+      const auto at =
+          std::find(kHeader.begin(), kHeader.end(), t.substr(0, eq));
+      if (eq == std::string_view::npos || at == kHeader.end())
+        return std::nullopt;
+      auto& slot = header[static_cast<std::size_t>(at - kHeader.begin())];
+      if (slot || !(slot = parse_u64_strict(t.substr(eq + 1))))
+        return std::nullopt;  // duplicate key or malformed value
+      continue;
     }
+    // world:<triple>[,<series triple>...]. Slot 0 is the mandatory base
+    // triple, slot i + 1 is kHistorySeries[i].
+    const auto world = parse_world(t.substr(0, colon));
+    if (!world) return std::nullopt;
+    for (const auto& w : entry.worlds)
+      if (w.world == *world) return std::nullopt;  // world named twice
+    constexpr std::array<std::string_view, 3> kFields = {"max", "mean",
+                                                         "count"};
+    std::array<HistoryEntry::Triple, kHistorySeries.size() + 1> triples{};
+    std::array<unsigned, kHistorySeries.size() + 1> seen{};  // field bits
+    for (std::string_view rest = t.substr(colon + 1);;) {
+      const auto comma = rest.find(',');
+      const std::string_view part = rest.substr(0, comma);
+      rest.remove_prefix(comma == std::string_view::npos ? rest.size()
+                                                         : comma + 1);
+      const auto part_eq = part.find('=');
+      if (part_eq == std::string_view::npos) return std::nullopt;
+      const std::string_view key = part.substr(0, part_eq);
+      const std::string_view value = part.substr(part_eq + 1);
+      std::size_t field = 0;
+      while (field < kFields.size() && !key.ends_with(kFields[field])) ++field;
+      if (field == kFields.size()) return std::nullopt;
+      const auto prefix = key.substr(0, key.size() - kFields[field].size());
+      std::size_t slot = 0;
+      if (!prefix.empty()) {
+        const auto series = history_series_index(prefix);
+        if (!series) return std::nullopt;
+        slot = *series + 1;
+      }
+      if (seen[slot] & (1u << field)) return std::nullopt;  // duplicate key
+      seen[slot] |= 1u << field;
+      HistoryEntry::Triple& triple = triples[slot];
+      if (field == 2) {
+        const auto count = parse_u64_strict(value);
+        if (!count) return std::nullopt;
+        triple.count = static_cast<std::size_t>(*count);
+      } else {
+        const auto v = parse_double_strict(value);
+        if (!v) return std::nullopt;
+        (field == 0 ? triple.max : triple.mean) = *v;
+      }
+      if (comma == std::string_view::npos) break;
+    }
+    // The base triple is mandatory; a series triple is all or nothing, and
+    // never written with count 0.
+    constexpr unsigned kAll = 0b111;
+    if (seen[0] != kAll) return std::nullopt;
+    HistoryEntry::WorldRatio ratio{*world, triples[0].max, triples[0].mean,
+                                   triples[0].count};
+    for (std::size_t i = 0; i < kHistorySeries.size(); ++i) {
+      if (seen[i + 1] == 0) continue;
+      if (seen[i + 1] != kAll || triples[i + 1].count == 0)
+        return std::nullopt;
+      ratio.series[i] = triples[i + 1];
+    }
+    entry.worlds.push_back(ratio);
   } while (tokens >> token);
 
-  if (!seed_seen || !cells_seen) return std::nullopt;
+  if (!header[0] || !header[2]) return std::nullopt;  // seed, cells
+  entry.seed = *header[0];
+  entry.grid = header[1].value_or(0);
+  entry.cells = static_cast<std::size_t>(*header[2]);
+  entry.errors = static_cast<std::size_t>(header[3].value_or(0));
+  entry.timed_out = static_cast<std::size_t>(header[4].value_or(0));
   return entry;
 }
 
@@ -280,51 +229,26 @@ std::vector<std::string> check_trend(
   if (!baseline) return failures;
   for (const auto& w : current.worlds) {
     if (w.count == 0) continue;
-    for (const auto& b : baseline->worlds) {
-      if (b.world != w.world || b.count == 0) continue;
+    const auto b = std::find_if(
+        baseline->worlds.begin(), baseline->worlds.end(),
+        [&](const auto& bw) { return bw.world == w.world && bw.count > 0; });
+    if (b == baseline->worlds.end()) continue;
+    const auto check = [&](std::string_view label, double now, double then) {
       // Tiny absolute epsilon so pct=0 tolerates formatting round-trips.
-      const double limit = b.max * (1.0 + pct / 100.0) + 1e-12;
-      if (w.max > limit) {
-        failures.push_back(std::string(to_string(w.world)) +
-                           ": max skew_ratio " + fmt(w.max) + " regressed > " +
-                           fmt(pct) + "% over baseline " + fmt(b.max));
-      }
-      // Gradient trend, gated only when both runs measured dynamic cells
-      // (a baseline without churn axes says nothing about local skew).
-      if (w.lcount > 0 && b.lcount > 0) {
-        const double llimit = b.lmax * (1.0 + pct / 100.0) + 1e-12;
-        if (w.lmax > llimit) {
-          failures.push_back(std::string(to_string(w.world)) +
-                             ": max local_skew_ratio " + fmt(w.lmax) +
-                             " regressed > " + fmt(pct) + "% over baseline " +
-                             fmt(b.lmax));
-        }
-      }
-      // KLLO envelope trend, same both-sides gating.
-      if (w.kcount > 0 && b.kcount > 0) {
-        const double klimit = b.kmax * (1.0 + pct / 100.0) + 1e-12;
-        if (w.kmax > klimit) {
-          failures.push_back(std::string(to_string(w.world)) +
-                             ": max kllo_ratio " + fmt(w.kmax) +
-                             " regressed > " + fmt(pct) + "% over baseline " +
-                             fmt(b.kmax));
-        }
-      }
-      // Adaptive-adversary trend, same both-sides gating. Note the sign: a
-      // HIGHER adaptive ratio is a stronger empirical worst case, but as a
-      // conformance trend the gate still reads growth past the baseline as
-      // a regression of the protocol's margin.
-      if (w.acount > 0 && b.acount > 0) {
-        const double alimit = b.amax * (1.0 + pct / 100.0) + 1e-12;
-        if (w.amax > alimit) {
-          failures.push_back(std::string(to_string(w.world)) +
-                             ": max adaptive skew_ratio " + fmt(w.amax) +
-                             " regressed > " + fmt(pct) + "% over baseline " +
-                             fmt(b.amax));
-        }
-      }
-      break;
-    }
+      if (now > then * (1.0 + pct / 100.0) + 1e-12)
+        failures.push_back(std::string(to_string(w.world)) + ": max " +
+                           std::string(label) + " " + fmt(now) +
+                           " regressed > " + fmt(pct) + "% over baseline " +
+                           fmt(then));
+    };
+    check("skew_ratio", w.max, b->max);
+    // A series is gated only when both runs measured it (a baseline without
+    // churn axes says nothing about local skew). For the adaptive series a
+    // higher ratio is a stronger empirical worst case, but as a conformance
+    // trend growth past the baseline still reads as lost protocol margin.
+    for (std::size_t i = 0; i < kHistorySeries.size(); ++i)
+      if (w.series[i].count > 0 && b->series[i].count > 0)
+        check(kHistorySeries[i].label, w.series[i].max, b->series[i].max);
   }
   return failures;
 }

@@ -11,9 +11,11 @@
 //   seed=1 grid=123456789 cells=36 errors=0 timed_out=0
 //       complete:max=0.81,mean=0.42,count=30     (one line in the file)
 //
-// — greppable, diffable, append-only, and free of timestamps so identical
-// sweeps write identical lines.
+// (a world token may append one <prefix>max/mean/count triple per
+// kHistorySeries entry) — greppable, diffable, append-only, and free of
+// timestamps so identical sweeps write identical lines.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -37,32 +39,21 @@ struct HistoryEntry {
   std::size_t cells = 0;
   std::size_t errors = 0;
   std::size_t timed_out = 0;
+  /// max/mean/count of one ratio over a world's rows.
+  struct Triple {
+    double max = 0.0;
+    double mean = 0.0;
+    std::size_t count = 0;
+  };
   struct WorldRatio {
     WorldKind world = WorldKind::kComplete;
     double max = 0.0;
     double mean = 0.0;
     std::size_t count = 0;  ///< rows with a finite ratio
-    /// local_skew_ratio stats over the world's *dynamic* cells. lcount == 0
-    /// (no dynamic cells in the grid) omits the lmax/lmean/lcount tokens
-    /// from the formatted line, so pre-dynamic history files and grids
-    /// without churn axes keep their exact bytes.
-    double lmax = 0.0;
-    double lmean = 0.0;
-    std::size_t lcount = 0;
-    /// kllo_ratio stats over the world's dynamic cells — same optional-token
-    /// treatment as the l* triple (kcount == 0 omits kmax/kmean/kcount), so
-    /// pre-KLLO history files keep their exact bytes.
-    double kmax = 0.0;
-    double kmean = 0.0;
-    std::size_t kcount = 0;
-    /// skew_ratio stats over the world's adaptive-adversary cells
-    /// (greedy-skew/search with instantiated faults) — the empirical
-    /// worst-case trend signal. Same optional-token treatment (acount == 0
-    /// omits amax/amean/acount), so pre-adaptive history files keep their
-    /// exact bytes.
-    double amax = 0.0;
-    double amean = 0.0;
-    std::size_t acount = 0;
+    /// One optional triple per kHistorySeries entry (count == 0 = absent).
+    /// An absent triple writes no tokens, so grids without the series'
+    /// rows keep the exact bytes their history had before it existed.
+    std::array<Triple, kHistorySeries.size()> series{};
   };
   std::vector<WorldRatio> worlds;
 };
@@ -83,7 +74,10 @@ struct HistoryEntry {
 [[nodiscard]] std::string format_history_line(const HistoryEntry& entry);
 
 /// Parses one history line; nullopt for blank lines, comments (leading '#'),
-/// and anything malformed.
+/// and anything malformed: unknown or duplicate keys, a world named twice,
+/// a missing base triple, or a partial or zero-count series triple. A
+/// corrupted line never half-parses into a bogus baseline, and an accepted
+/// canonical line formats back to itself.
 [[nodiscard]] std::optional<HistoryEntry> parse_history_line(
     std::string_view line);
 

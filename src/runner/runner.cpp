@@ -28,11 +28,27 @@ namespace crusader::runner {
 
 namespace {
 
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+/// Post-run fill shared by the complete and relay paths: liveness, rounds,
+/// engine counters, the steady-state skew statistics and the skew-bound
+/// check. `messages` is the run's message count (the relay world counts
+/// physical hops). Returns whether any round completed.
+template <typename Run>
+bool fill_run_metrics(const Run& run, std::uint64_t messages,
+                      const ScenarioSpec& spec, const RunnerOptions& options,
+                      ScenarioResult& result) {
+  const sim::PulseTrace& trace = run.trace;
+  result.live = trace.live(spec.rounds);
+  result.rounds_completed = trace.complete_rounds();
+  result.messages = messages;
+  result.events = run.events;
+  result.sign_ops = run.sign_ops;
+  result.verify_ops = run.verify_ops;
+  if constexpr (requires { run.signatures_carried; }) {  // complete world
+    result.signatures_carried = run.signatures_carried;
+    result.violations = run.violations.size();
+  }
+  if (result.rounds_completed == 0) return false;
 
-/// Steady-state skew statistics shared by the complete and relay paths.
-void fill_skew_metrics(const sim::PulseTrace& trace, const ScenarioSpec& spec,
-                       ScenarioResult& result) {
   result.max_skew = trace.max_skew();
   result.min_period = trace.min_period();
   result.max_period = trace.max_period();
@@ -44,6 +60,17 @@ void fill_skew_metrics(const sim::PulseTrace& trace, const ScenarioSpec& spec,
     result.skew_p50 = steady.median();
     result.skew_p99 = steady.quantile(0.99);
   }
+  result.within_bound =
+      result.max_skew <= result.predicted_skew + options.bound_tolerance;
+  return true;
+}
+
+template <typename Key>
+SliceStats& slice_for(std::vector<std::pair<Key, SliceStats>>& slices,
+                      Key key) {
+  for (auto& [k, stats] : slices)
+    if (k == key) return stats;
+  return slices.emplace_back(key, SliceStats{}).second;
 }
 
 /// Materialize the spec's topology family. Random topologies are grown from
@@ -128,20 +155,7 @@ void run_complete_world(const ScenarioSpec& spec, const RunnerOptions& options,
   sim::World world(config, std::move(honest), std::move(byz));
   const sim::RunResult run = world.run();
 
-  result.live = run.trace.live(spec.rounds);
-  result.rounds_completed = run.trace.complete_rounds();
-  result.messages = run.messages;
-  result.events = run.events;
-  result.sign_ops = run.sign_ops;
-  result.verify_ops = run.verify_ops;
-  result.signatures_carried = run.signatures_carried;
-  result.violations = run.violations.size();
-
-  if (result.rounds_completed > 0) {
-    fill_skew_metrics(run.trace, spec, result);
-    result.within_bound =
-        result.max_skew <= result.predicted_skew + options.bound_tolerance;
-  }
+  fill_run_metrics(run, run.messages, spec, options, result);
 }
 
 /// Digest of exactly the inputs relay::analyze_worst_hops reads — topology
@@ -287,39 +301,29 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
                             effective);
     const relay::RelayRunResult run = world.run();
 
-    out.live = run.trace.live(spec.rounds);
-    out.rounds_completed = run.trace.complete_rounds();
-    out.messages = run.physical_messages;
-    out.events = run.events;
-    out.sign_ops = run.sign_ops;
-    out.verify_ops = run.verify_ops;
-
-    if (out.rounds_completed > 0) {
-      fill_skew_metrics(run.trace, spec, out);
-      out.within_bound =
-          out.max_skew <= out.predicted_skew + options.bound_tolerance;
-      const relay::TopologySchedule measure_schedule =
-          dynamic ? *schedule
-                  : relay::TopologySchedule::static_schedule(config.topology);
-      const std::vector<double> series =
-          local_skew_series(run.trace, measure_schedule);
-      if (!series.empty())
-        out.local_skew = *std::max_element(series.begin(), series.end());
-      // Per-edge-age envelope conformance. sigma is the per-round
-      // uncertainty an adjacent pair accumulates under the effective model;
-      // the global allowance n·sigma is what a node that just (re)connected
-      // may lag by before the protocol has had any rounds to pull it in.
-      KlloEnvelopeParams params;
-      params.sigma = effective.model.u +
-                     (effective.model.vartheta - 1.0) * setup.round_length;
-      params.global = static_cast<double>(spec.n) * params.sigma;
-      params.stab_mult = spec.kllo_stab;
-      const KlloConformance kllo =
-          kllo_conformance(run.trace, measure_schedule, params);
-      out.kllo_ratio = kllo.ratio;
-      out.kllo_violations = kllo.violations;
-      out.edge_age_min = kllo.edge_age_min;
-    }
+    if (!fill_run_metrics(run, run.physical_messages, spec, options, out))
+      return;
+    const relay::TopologySchedule measure_schedule =
+        dynamic ? *schedule
+                : relay::TopologySchedule::static_schedule(config.topology);
+    const std::vector<double> series =
+        local_skew_series(run.trace, measure_schedule);
+    if (!series.empty())
+      out.local_skew = *std::max_element(series.begin(), series.end());
+    // Per-edge-age envelope conformance. sigma is the per-round uncertainty
+    // an adjacent pair accumulates under the effective model; the global
+    // allowance n·sigma is what a node that just (re)connected may lag by
+    // before the protocol has had any rounds to pull it in.
+    KlloEnvelopeParams params;
+    params.sigma = effective.model.u +
+                   (effective.model.vartheta - 1.0) * setup.round_length;
+    params.global = static_cast<double>(spec.n) * params.sigma;
+    params.stab_mult = spec.kllo_stab;
+    const KlloConformance kllo =
+        kllo_conformance(run.trace, measure_schedule, params);
+    out.kllo_ratio = kllo.ratio;
+    out.kllo_violations = kllo.violations;
+    out.edge_age_min = kllo.edge_age_min;
   };
 
   const bool adaptive = relay::adaptive(spec.relay_fault) && spec.f_actual > 0;
@@ -398,20 +402,6 @@ ScenarioResult run_scenario_cached(const ScenarioSpec& spec,
   ScenarioResult result;
   result.spec = spec;
   result.seed = scenario_seed(spec, options.base_seed);
-  result.max_skew = kNan;
-  result.steady_skew = kNan;
-  result.skew_p50 = kNan;
-  result.skew_p99 = kNan;
-  result.min_period = kNan;
-  result.max_period = kNan;
-  result.predicted_skew = kNan;
-  result.skew_ratio = kNan;
-  result.local_skew = kNan;
-  result.local_skew_ratio = kNan;
-  result.d_eff = kNan;
-  result.u_eff = kNan;
-  result.kllo_ratio = kNan;
-  result.edge_age_min = kNan;
 
   try {
     // A targeted custom delay aimed past the cluster would silently
@@ -444,12 +434,11 @@ ScenarioResult run_scenario_cached(const ScenarioSpec& spec,
     // edge, so the gradient metric degenerates to the global one.
     if (spec.world != WorldKind::kRelay && result.rounds_completed > 0)
       result.local_skew = result.max_skew;
-    if (result.rounds_completed > 0 && std::isfinite(result.max_skew) &&
-        std::isfinite(result.predicted_skew) && result.predicted_skew > 0.0)
+    if (result.rounds_completed > 0 && std::isfinite(result.predicted_skew) &&
+        result.predicted_skew > 0.0) {
       result.skew_ratio = result.max_skew / result.predicted_skew;
-    if (result.rounds_completed > 0 && std::isfinite(result.local_skew) &&
-        std::isfinite(result.predicted_skew) && result.predicted_skew > 0.0)
       result.local_skew_ratio = result.local_skew / result.predicted_skew;
+    }
   } catch (const sim::BudgetExceeded&) {
     // Everything the aborted run measured is discarded, so the row's
     // content does not depend on where the budget happened to trip.
@@ -611,103 +600,61 @@ bool violates_gate(const ScenarioResult& result, double max_ratio) {
   if (result.spec.dynamic()) return !result.live;
   if (result.rounds_completed == 0) return false;
   if (result.spec.world == WorldKind::kTheorem5) return !result.within_bound;
-  // Same floating-point headroom as within_bound: a protocol that realizes
-  // its bound exactly (the flood probe's skew is exactly u under split
-  // delays) must not trip a --gate=1.0 on the last ulp of the division.
   return std::isfinite(result.skew_ratio) &&
-         result.skew_ratio > max_ratio + 1e-9;
+         result.skew_ratio > max_ratio + kGateHeadroom;
 }
 
-std::size_t count_gate_violations(const SweepReport& report,
-                                  double max_ratio) {
-  std::size_t count = 0;
-  for (const auto& r : report.results)
-    if (violates_gate(r, max_ratio)) ++count;
-  return count;
-}
-
-void SweepSummary::add(const ScenarioResult& result) {
+void SliceStats::add(const ScenarioResult& result) {
   ++scenarios;
-  if (gate_ratio && violates_gate(result, *gate_ratio)) ++gate_violations;
-  if (local_gate_ratio && std::isfinite(result.local_skew_ratio) &&
-      result.local_skew_ratio > *local_gate_ratio + 1e-9)
-    ++local_gate_violations;
-  if (kllo_gate_ratio && std::isfinite(result.kllo_ratio) &&
-      result.kllo_ratio > *kllo_gate_ratio + 1e-9)
-    ++kllo_gate_violations;
-  if (result.timed_out) ++timed_out;
   if (!result.error.empty()) {
     ++errors;
     return;
   }
-  if (result.timed_out) return;
+  if (result.timed_out) {
+    ++timed_out;
+    return;
+  }
   if (!result.feasible) {
     ++infeasible;
     return;
   }
-  auto& world = [&]() -> WorldStats& {
-    for (auto& w : worlds)
-      if (w.world == result.spec.world) return w;
-    worlds.emplace_back();
-    worlds.back().world = result.spec.world;
-    return worlds.back();
-  }();
-  if (std::isfinite(result.skew_ratio)) world.ratio.add(result.skew_ratio);
-  // Dynamic rows only: folding static cells' local ratio in would append
-  // new tokens to every existing history line (see WorldStats::local).
-  if (result.spec.dynamic() && std::isfinite(result.local_skew_ratio))
-    world.local.add(result.local_skew_ratio);
-  if (result.spec.dynamic() && std::isfinite(result.kllo_ratio))
-    world.kllo.add(result.kllo_ratio);
-  // Adaptive-adversary rows only: the empirical worst-case trend signal.
-  // Grids without adaptive cells feed nothing, keeping history lines
-  // byte-identical (see HistoryEntry's optional a* tokens).
-  if (result.spec.world == WorldKind::kRelay && result.spec.f_actual > 0 &&
-      relay::adaptive(result.spec.relay_fault) &&
-      std::isfinite(result.skew_ratio))
-    world.adaptive.add(result.skew_ratio);
-  if (result.rounds_completed > 0 && !result.within_bound)
-    ++world.bound_misses;
-}
-
-std::vector<ProtocolSummary> SweepReport::by_protocol() const {
-  std::vector<ProtocolSummary> summaries;
-  auto find = [&](baselines::ProtocolKind kind) -> ProtocolSummary& {
-    for (auto& s : summaries)
-      if (s.protocol == kind) return s;
-    summaries.emplace_back();
-    summaries.back().protocol = kind;
-    return summaries.back();
-  };
-  for (const auto& r : results) {
-    ProtocolSummary& s = find(r.spec.protocol);
-    ++s.scenarios;
-    if (!r.error.empty()) {
-      ++s.errors;
-      continue;
-    }
-    if (r.timed_out) {
-      ++s.timed_out;
-      continue;
-    }
-    if (!r.feasible) {
-      ++s.infeasible;
-      continue;
-    }
-    if (r.rounds_completed > 0) {
-      if (std::isfinite(r.steady_skew)) s.steady_skew.add(r.steady_skew);
-      s.messages.add(static_cast<double>(r.messages));
-      if (!r.within_bound) ++s.bound_violations;
-    }
+  if (std::isfinite(result.skew_ratio)) ratio.add(result.skew_ratio);
+  // Series feed only their scope's rows, so grids without such rows keep
+  // their history bytes (see kHistorySeries).
+  for (std::size_t i = 0; i < kHistorySeries.size(); ++i) {
+    const double value = result.*kHistorySeries[i].member;
+    if (in_scope(kHistorySeries[i].scope, result.spec) && std::isfinite(value))
+      series[i].add(value);
   }
-  return summaries;
+  if (result.rounds_completed > 0) {
+    if (std::isfinite(result.steady_skew)) steady_skew.add(result.steady_skew);
+    messages.add(static_cast<double>(result.messages));
+    if (!result.within_bound) ++bound_misses;
+  }
 }
 
-std::size_t SweepReport::error_count() const {
-  std::size_t count = 0;
-  for (const auto& r : results)
-    if (!r.error.empty()) ++count;
-  return count;
+void SweepSummary::arm_gate(const Column& column, double ratio) {
+  // Columns live in one array, so address order is column order.
+  auto it = std::find_if(gates.begin(), gates.end(), [&](const ArmedGate& g) {
+    return g.column >= &column;
+  });
+  if (it != gates.end() && it->column == &column)
+    it->ratio = ratio;
+  else
+    gates.insert(it, ArmedGate{&column, ratio});
+}
+
+void SweepSummary::add(const ScenarioResult& result) {
+  for (ArmedGate& g : gates)
+    if (g.column->trips(result, g.ratio)) ++g.violations;
+  SliceStats::add(result);
+  slice_for(protocols, result.spec.protocol).add(result);
+  if (!result.error.empty() || result.timed_out) return;
+  if (result.spec.world == WorldKind::kRelay) {
+    ++relay_cells;
+    if (!result.d_eff_exact) ++sampled_df_cells;
+  }
+  if (result.feasible) slice_for(worlds, result.spec.world).add(result);
 }
 
 }  // namespace crusader::runner

@@ -5,13 +5,14 @@
 // Rng::fork keyed by the spec digest, and results land in spec order — so a
 // sweep's CSV is byte-identical whether it ran on 1 thread or N.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "runner/metrics.hpp"
 #include "runner/scenario.hpp"
 #include "sim/trace.hpp"
 #include "util/stats.hpp"
@@ -51,101 +52,8 @@ struct RunnerOptions {
   bool fast_path = true;
 };
 
-/// Everything measured for one scenario. Doubles are NaN when the scenario
-/// was infeasible, errored, or produced no complete rounds.
-struct ScenarioResult {
-  ScenarioSpec spec;
-  std::uint64_t seed = 0;  ///< derived world seed (recorded for replay)
-  bool feasible = false;
-  bool live = false;  ///< every honest node completed `rounds` pulses
-  std::size_t rounds_completed = 0;
-  double max_skew = 0.0;     ///< over all complete rounds
-  double steady_skew = 0.0;  ///< over rounds >= warmup
-  double skew_p50 = 0.0;
-  double skew_p99 = 0.0;
-  double min_period = 0.0;
-  double max_period = 0.0;
-  /// The world's applicable theoretical bound: the protocol's skew upper
-  /// bound (S, S_lw, or d-scale) for kComplete, the same bound computed from
-  /// the effective (d_eff, u_eff) for kRelay, and the 2ũ/3 skew LOWER bound
-  /// for kTheorem5.
-  double predicted_skew = 0.0;
-  /// max_skew / predicted_skew. For upper-bound worlds ≤ 1 means conformant;
-  /// for kTheorem5 ≥ 1 means the construction realized the bound.
-  double skew_ratio = 0.0;
-  /// Gradient (KLLO-style) metric: max over rounds of the round's worst
-  /// |p_i − p_j| over *currently live* edges of that round's graph. For
-  /// kComplete/kTheorem5 every pair is an edge, so it equals max_skew; for
-  /// kRelay it is at most max_skew and the correctness lens for dynamic
-  /// cells, where the global bound's premises lapse mid-churn.
-  double local_skew = 0.0;
-  /// local_skew / predicted_skew (same denominator as skew_ratio).
-  double local_skew_ratio = 0.0;
-  /// KLLO per-edge-age envelope conformance (runner/kllo.hpp), kRelay only
-  /// (NaN elsewhere): the worst, over complete rounds and live measured
-  /// edges, of |p_v − p_w| divided by the envelope at that edge's current
-  /// age. ≤ 1 means every edge sat inside the envelope — including fresh
-  /// edges graded against the wide settling allowance — which is the
-  /// transient-vs-violation distinction a flat local ratio cannot make.
-  double kllo_ratio = 0.0;
-  /// Round-edge pairs whose envelope ratio exceeded 1 (kRelay, else 0).
-  std::size_t kllo_violations = 0;
-  /// Minimum age (rounds since appearance) over the live measured edges of
-  /// the last complete round — the youngest edge the verdict rests on. For a
-  /// static relay cell this is simply rounds − 1; NaN outside kRelay.
-  double edge_age_min = 0.0;
-  /// Effective complete-graph model the relay overlay presented to the
-  /// protocol (NaN for other worlds).
-  double d_eff = 0.0;
-  double u_eff = 0.0;
-  std::uint32_t worst_hops = 0;  ///< relay D_f (0 elsewhere)
-  /// Relay only: whether worst_hops came from the exhaustive walk (true) or
-  /// the budget-bounded sample (false) — the CSV column history analytics
-  /// use to segment sampled cells.
-  bool d_eff_exact = false;
-  /// kComplete/kRelay: max_skew <= predicted_skew (+tolerance).
-  /// kTheorem5: the realized skew reached the lower bound (bound_holds).
-  /// Only meaningful within the protocol's resilience; recorded regardless.
-  bool within_bound = false;
-  /// Adaptive relay adversaries only (relay::adaptive(spec.relay_fault) and
-  /// f_actual > 0; 0/null elsewhere): how many candidate attack schedules
-  /// the cell ran (1 for greedy-skew, spec.search_budget for search) and the
-  /// winning candidate's attack seed (0 = the greedy baseline candidate).
-  /// Replaying the cell with RelayConfig::attack_seed = attack_best_seed
-  /// reproduces the winning skew_ratio bit-for-bit.
-  std::uint32_t attack_iters = 0;
-  std::uint64_t attack_best_seed = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t events = 0;
-  std::uint64_t sign_ops = 0;
-  std::uint64_t verify_ops = 0;
-  std::uint64_t signatures_carried = 0;
-  std::size_t violations = 0;
-  /// The scenario exhausted RunnerOptions::budget_ms and was aborted
-  /// mid-run; metrics are NaN and error stays empty (a budget abort is a
-  /// scheduling outcome, not a world failure) but the gate counts it.
-  bool timed_out = false;
-  /// Non-empty when the world threw (the sweep keeps going).
-  std::string error;
-};
-
-/// util::stats-backed cross-scenario aggregate for one protocol.
-struct ProtocolSummary {
-  baselines::ProtocolKind protocol = baselines::ProtocolKind::kCps;
-  std::size_t scenarios = 0;
-  std::size_t infeasible = 0;
-  std::size_t errors = 0;
-  std::size_t timed_out = 0;         ///< aborted by the wall-clock budget
-  std::size_t bound_violations = 0;  ///< feasible, ran, and exceeded bound
-  util::OnlineStats steady_skew;     ///< over feasible error-free scenarios
-  util::OnlineStats messages;
-};
-
 struct SweepReport {
   std::vector<ScenarioResult> results;  ///< same order as the input specs
-
-  [[nodiscard]] std::vector<ProtocolSummary> by_protocol() const;
-  [[nodiscard]] std::size_t error_count() const;
 };
 
 /// Derive the world seed for `spec` under `base_seed` (exposed for tests and
@@ -197,57 +105,50 @@ void run_sweep_streamed(const std::vector<ScenarioSpec>& specs,
 [[nodiscard]] bool violates_gate(const ScenarioResult& result,
                                  double max_ratio);
 
-/// violates_gate summed over a report.
-[[nodiscard]] std::size_t count_gate_violations(const SweepReport& report,
-                                                double max_ratio);
-
-/// Streaming cross-scenario aggregate for the gate, the history file, and
-/// the trend check: per-world skew_ratio stats plus failure counters,
-/// accumulable one result at a time so large campaigns never retain rows.
-struct SweepSummary {
-  /// When set, add() also counts violates_gate(result, *gate_ratio).
-  std::optional<double> gate_ratio;
-  /// When set, add() also counts rows whose local_skew_ratio exceeds it
-  /// (rows with no finite local ratio never count — errors and timeouts are
-  /// the main gate's business). This is the world-aware gradient gate: it
-  /// binds wherever the local metric is defined, including dynamic cells
-  /// where the global ratio gate is suspended.
-  std::optional<double> local_gate_ratio;
-  /// When set, add() counts rows whose kllo_ratio exceeds it — the
-  /// per-edge-age envelope gate (1.0 = the KLLO envelope itself). Binds
-  /// wherever the kllo metric is defined (relay rows with completed
-  /// rounds); rows without it never count.
-  std::optional<double> kllo_gate_ratio;
-
+/// Counters and ratio statistics over one slice of a sweep's rows.
+struct SliceStats {
   std::size_t scenarios = 0;
   std::size_t errors = 0;
   std::size_t timed_out = 0;
   std::size_t infeasible = 0;
-  std::size_t gate_violations = 0;
-  std::size_t local_gate_violations = 0;
-  std::size_t kllo_gate_violations = 0;
+  /// Completed rows whose within_bound check failed.
+  std::size_t bound_misses = 0;
+  /// Over rows with a finite skew_ratio (completed, bound defined).
+  util::OnlineStats ratio;
+  /// One accumulator per kHistorySeries entry: the series' member over the
+  /// in-scope rows where it is finite.
+  std::array<util::OnlineStats, kHistorySeries.size()> series;
+  /// Over completed rows (steady_skew where finite).
+  util::OnlineStats steady_skew;
+  util::OnlineStats messages;
 
-  struct WorldStats {
-    WorldKind world = WorldKind::kComplete;
-    /// Over rows with a finite skew_ratio (completed, bound defined).
-    util::OnlineStats ratio;
-    /// Over *dynamic* rows with a finite local_skew_ratio. Static cells are
-    /// deliberately excluded: their local metric would append new tokens to
-    /// every existing history line, breaking byte-compatibility.
-    util::OnlineStats local;
-    /// Over dynamic rows with a finite kllo_ratio — same static-row
-    /// exclusion (and the same optional-token history treatment) as `local`.
-    util::OnlineStats kllo;
-    /// Over adaptive-adversary rows (relay, f_actual > 0, greedy-skew or
-    /// search) with a finite skew_ratio — the trend signal for the empirical
-    /// worst-case search. Same optional-token history treatment: grids
-    /// without adaptive cells keep their historical bytes.
-    util::OnlineStats adaptive;
-    /// Completed rows whose within_bound check failed.
-    std::size_t bound_misses = 0;
+  void add(const ScenarioResult& result);
+};
+
+/// Streaming cross-scenario aggregate for the gates, the history file, the
+/// trend check and the summary tables, accumulable one result at a time so
+/// large campaigns never retain rows. The base SliceStats covers every row.
+struct SweepSummary : SliceStats {
+  /// A metric-table gate armed at `ratio`, and the rows that tripped it.
+  struct ArmedGate {
+    const Column* column = nullptr;
+    double ratio = 0.0;
+    std::size_t violations = 0;
   };
-  /// Ordered by first appearance — deterministic for a fixed spec order.
-  std::vector<WorldStats> worlds;
+  /// In column order; re-arming a gate replaces its ratio.
+  std::vector<ArmedGate> gates;
+  void arm_gate(const Column& column, double ratio);
+
+  /// Relay rows that ran (no error or timeout), and those whose D_f is a
+  /// sampled lower bound (d_eff_exact == false).
+  std::size_t relay_cells = 0;
+  std::size_t sampled_df_cells = 0;
+
+  /// Per-protocol slices of every row, in first-appearance order.
+  std::vector<std::pair<baselines::ProtocolKind, SliceStats>> protocols;
+  /// Per-world slices of the feasible, error-free rows, in the order such a
+  /// row first appears (the history line's world order).
+  std::vector<std::pair<WorldKind, SliceStats>> worlds;
 
   void add(const ScenarioResult& result);
 };

@@ -522,6 +522,71 @@ TEST(History, LineFormatRoundTrips) {
           .has_value());
   EXPECT_FALSE(
       parse_history_line("seed=1 cells=3 complete:max=1,mean=1").has_value());
+
+  // A corrupted line never half-parses: duplicate keys, a world named twice,
+  // and partial, zero-count or unknown series triples are all refused.
+  for (const char* bad : {
+           "seed=1 cells=3 complete:max=1,mean=1,count=1,max=5",
+           "seed=1 cells=3 seed=7 complete:max=1,mean=1,count=1",
+           "seed=1 cells=3 complete:max=1,mean=1,count=1,lmax=2",
+           "seed=1 cells=3 complete:max=1,mean=1,count=1,lmax=2,lmean=1",
+           "seed=1 cells=3 complete:max=1,mean=1,count=1 "
+           "complete:max=2,mean=2,count=2",
+           "seed=1 cells=3 complete:max=1,mean=1,count=1,"
+           "kmax=1,kmean=1,kcount=1,kmax=2",
+           "seed=1 cells=3 complete:max=1,mean=1,count=1,"
+           "lmax=0,lmean=0,lcount=0",
+           "seed=1 cells=3 complete:max=1,mean=1,count=1,"
+           "xmax=1,xmean=1,xcount=1",
+           "seed=1 cells=3 complete:max=1,mean=1,count=1,",
+       })
+    EXPECT_FALSE(parse_history_line(bad).has_value()) << bad;
+
+  // Every accepted canonical line formats back to itself.
+  for (const std::string& good : {
+           line,
+           std::string("seed=1 grid=0 cells=3 errors=0 timed_out=0 "
+                       "complete:max=0,mean=0,count=0"),
+           std::string("seed=2 grid=9 cells=6 errors=0 timed_out=0 "
+                       "relay:max=0.5,mean=0.25,count=4,"
+                       "kmax=1.5,kmean=1,kcount=2,amax=0.5,amean=0.5,acount=1 "
+                       "theorem5:max=1,mean=1,count=2"),
+       }) {
+    const auto accepted = parse_history_line(good);
+    ASSERT_TRUE(accepted.has_value()) << good;
+    EXPECT_EQ(format_history_line(*accepted), good);
+  }
+}
+
+TEST(History, GoldenLineCarriesEverySeries) {
+  // The history bytes are what every recorded trend baseline is compared
+  // against; pin the token spelling and order of the base triple and the
+  // l (local), k (KLLO) and a (adaptive) series triples.
+  HistoryEntry entry;
+  entry.seed = 3;
+  entry.grid = 42;
+  entry.cells = 9;
+  entry.errors = 1;
+  entry.timed_out = 2;
+  HistoryEntry::WorldRatio relay_ratio;
+  relay_ratio.world = WorldKind::kRelay;
+  relay_ratio.max = 0.75;
+  relay_ratio.mean = 0.5;
+  relay_ratio.count = 6;
+  relay_ratio.series[*history_series_index("l")] = {0.875, 0.625, 4};
+  relay_ratio.series[*history_series_index("k")] = {1.25, 0.375, 3};
+  relay_ratio.series[*history_series_index("a")] = {0.5, 0.25, 2};
+  entry.worlds.push_back(relay_ratio);
+  entry.worlds.push_back({WorldKind::kComplete, 1.5, 1, 3});
+  const std::string golden =
+      "seed=3 grid=42 cells=9 errors=1 timed_out=2 "
+      "relay:max=0.75,mean=0.5,count=6,lmax=0.875,lmean=0.625,lcount=4,"
+      "kmax=1.25,kmean=0.375,kcount=3,amax=0.5,amean=0.25,acount=2 "
+      "complete:max=1.5,mean=1,count=3";
+  EXPECT_EQ(format_history_line(entry), golden);
+  const auto parsed = parse_history_line(golden);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(format_history_line(*parsed), golden);
 }
 
 TEST(History, LoadLastEntrySkipsHeaderAndGarbage) {
@@ -529,7 +594,9 @@ TEST(History, LoadLastEntrySkipsHeaderAndGarbage) {
       "# crusader skew_ratio history v1\n"
       "seed=1 cells=4 errors=0 timed_out=0 complete:max=0.5,mean=0.4,count=4\n"
       "garbage line\n"
-      "seed=1 cells=4 errors=0 timed_out=0 complete:max=0.7,mean=0.6,count=4\n");
+      "seed=1 cells=4 errors=0 timed_out=0 complete:max=0.7,mean=0.6,count=4\n"
+      "seed=1 cells=4 errors=0 timed_out=0 complete:max=0.7,mean=0.6,count=4 "
+      "complete:max=0.1,mean=0.1,count=4\n");
   const auto last = load_last_entry(is);
   ASSERT_TRUE(last.has_value());
   ASSERT_EQ(last->worlds.size(), 1u);
@@ -623,7 +690,7 @@ TEST(History, TrendGateFailsOnRegressionAndIncompleteRuns) {
 TEST(History, SummaryFeedsEntryAndAppendLoadsBack) {
   const auto specs = campaign_specs();
   SweepSummary summary;
-  summary.gate_ratio = 1.0;
+  summary.arm_gate(*gate_column("gate"), 1.0);
   run_sweep_streamed(specs, {}, [&](const ScenarioResult& r) {
     summary.add(r);
   });

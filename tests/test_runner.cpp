@@ -173,13 +173,15 @@ TEST(Runner, SweepCsvIdenticalAcrossThreadCounts) {
 
 TEST(Runner, ByProtocolSummaryCounts) {
   const auto specs = small_grid().expand();
-  const auto report = run_sweep(specs, {});
-  const auto summaries = report.by_protocol();
-  ASSERT_EQ(summaries.size(), 2u);
+  SweepSummary summary;
+  run_sweep_streamed(specs, {},
+                     [&](const ScenarioResult& r) { summary.add(r); });
+  ASSERT_EQ(summary.protocols.size(), 2u);
   std::size_t total = 0;
-  for (const auto& s : summaries) total += s.scenarios;
+  for (const auto& [protocol, s] : summary.protocols) total += s.scenarios;
   EXPECT_EQ(total, specs.size());
-  EXPECT_EQ(report.error_count(), 0u);
+  EXPECT_EQ(summary.scenarios, specs.size());
+  EXPECT_EQ(summary.errors, 0u);
 }
 
 TEST(Export, CsvHasHeaderAndOneRowPerScenario) {
@@ -191,6 +193,45 @@ TEST(Export, CsvHasHeaderAndOneRowPerScenario) {
     if (c == '\n') ++lines;
   EXPECT_EQ(lines, specs.size() + 1);
   EXPECT_EQ(csv.rfind("scenario,protocol,world,topology,n,f,", 0), 0u);
+}
+
+TEST(Export, CsvHeaderIsTheGoldenSchema) {
+  // Campaign resume refuses any CSV whose header differs from the current
+  // build's, so a column rename, insertion or reorder is a schema change
+  // every recorded campaign would feel. Pin the text.
+  EXPECT_EQ(csv_header(),
+            "scenario,protocol,world,topology,n,f,f_actual,d,u,u_tilde,"
+            "vartheta,delay,clocks,crypto,byz,relay_fault,churn_rate,"
+            "join_batch,reconnect,rounds,warmup,seed,feasible,live,"
+            "rounds_completed,max_skew,steady_skew,skew_p50,skew_p99,"
+            "min_period,max_period,predicted_skew,within_bound,skew_ratio,"
+            "local_skew,local_skew_ratio,d_eff,u_eff,worst_hops,d_eff_exact,"
+            "edge_age_min,kllo_stab,kllo_ratio,kllo_violations,attack_iters,"
+            "attack_best_seed,messages,events,sign_ops,verify_ops,"
+            "signatures_carried,violations,timed_out,error");
+}
+
+TEST(Runner, SummaryCountsSampledDfRelayCells) {
+  // The sampled-D_f notice is one counted line from the summary: relay rows
+  // that ran, and those whose D_f is a sampled lower bound.
+  ScenarioResult exact;
+  exact.spec.world = WorldKind::kRelay;
+  exact.feasible = true;
+  exact.d_eff_exact = true;
+  ScenarioResult sampled = exact;
+  sampled.d_eff_exact = false;
+  ScenarioResult errored = sampled;
+  errored.error = "boom";  // never analyzed to the end: not counted
+  ScenarioResult complete;  // complete world: no D_f at all
+  complete.feasible = true;
+
+  SweepSummary summary;
+  for (const auto* r : {&exact, &sampled, &sampled, &errored, &complete})
+    summary.add(*r);
+  EXPECT_EQ(summary.relay_cells, 3u);
+  EXPECT_EQ(summary.sampled_df_cells, 2u);
+  EXPECT_EQ(summary.scenarios, 5u);
+  EXPECT_EQ(summary.errors, 1u);
 }
 
 TEST(Scenario, KeyForksDistinctSeedsForNewAxes) {

@@ -589,10 +589,10 @@ TEST(KlloGate, GradientPassesWhereJumpMaxFailsAcrossReconnectPolicies) {
 
     // The --gate-kllo accumulator trips on exactly the jump-max row.
     SweepSummary summary;
-    summary.kllo_gate_ratio = 1.0;
+    summary.arm_gate(*gate_column("gate-kllo"), 1.0);
     summary.add(good);
     summary.add(bad);
-    EXPECT_EQ(summary.kllo_gate_violations, 1u)
+    EXPECT_EQ(summary.gates[0].violations, 1u)
         << relay::to_string(reconnect);
     // Both cells stay live, so the liveness gate alone would pass both —
     // the envelope gate is what separates them.
@@ -643,7 +643,7 @@ TEST(KlloAcceptance, N256GateContrastIsByteStableAcrossEnginePaths) {
   EXPECT_EQ(reference, csv_for(false, 1));
 
   SweepSummary summary;
-  summary.kllo_gate_ratio = 1.0;
+  summary.arm_gate(*gate_column("gate-kllo"), 1.0);
   std::optional<ScenarioResult> gradient;
   std::optional<ScenarioResult> jump_max;
   run_sweep_streamed(specs, {}, [&](const ScenarioResult& r) {
@@ -657,7 +657,7 @@ TEST(KlloAcceptance, N256GateContrastIsByteStableAcrossEnginePaths) {
   EXPECT_EQ(gradient->kllo_violations, 0u);
   EXPECT_GT(jump_max->kllo_ratio, 1.0);
   EXPECT_GT(jump_max->kllo_violations, 0u);
-  EXPECT_EQ(summary.kllo_gate_violations, 1u);
+  EXPECT_EQ(summary.gates[0].violations, 1u);
   // Churn keeps rewiring, so the last round's youngest measured edge is
   // fresh — the fresh-edge allowance is load-bearing, not hypothetical.
   EXPECT_TRUE(std::isfinite(gradient->edge_age_min));
@@ -680,7 +680,7 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
   };
 
   SweepSummary fresh;
-  fresh.kllo_gate_ratio = 1.0;
+  fresh.arm_gate(*gate_column("gate-kllo"), 1.0);
   {
     CsvCampaign campaign({clean_csv, clean_manifest, 1, 1}, specs);
     run_sweep_streamed(specs, {}, [&](const ScenarioResult& r) {
@@ -697,7 +697,7 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
     campaign.append(run_scenario(specs[0]));
   }
   SweepSummary resumed_summary;
-  resumed_summary.kllo_gate_ratio = 1.0;
+  resumed_summary.arm_gate(*gate_column("gate-kllo"), 1.0);
   CsvCampaign resumed({csv, manifest, 1, 1}, specs,
                       [&](const ScenarioResult& r) {
                         EXPECT_TRUE(std::isfinite(r.kllo_ratio));
@@ -712,8 +712,7 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
   });
   resumed.finish();
   EXPECT_EQ(slurp(csv), slurp(clean_csv));
-  EXPECT_EQ(resumed_summary.kllo_gate_violations,
-            fresh.kllo_gate_violations);
+  EXPECT_EQ(resumed_summary.gates[0].violations, fresh.gates[0].violations);
 
   // History: the k-tokens survive format → parse, and the resumed summary
   // produces the byte-identical line.
@@ -725,12 +724,13 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
   const auto parsed = parse_history_line(line);
   ASSERT_TRUE(parsed.has_value()) << line;
   ASSERT_EQ(parsed->worlds.size(), 1u);
-  EXPECT_EQ(parsed->worlds[0].kcount, 2u);
-  EXPECT_GT(parsed->worlds[0].kmax, 1.0);  // the jump-max cell
+  const std::size_t k = *history_series_index("k");
+  EXPECT_EQ(parsed->worlds[0].series[k].count, 2u);
+  EXPECT_GT(parsed->worlds[0].series[k].max, 1.0);  // the jump-max cell
 
   // Trend gating: a kllo regression over this baseline fails by name.
   auto regressed = *parsed;
-  regressed.worlds[0].kmax *= 2.0;
+  regressed.worlds[0].series[k].max *= 2.0;
   const auto failures = check_trend(*parsed, regressed, 5.0);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_NE(failures[0].find("kllo_ratio"), std::string::npos) << failures[0];
@@ -758,29 +758,29 @@ TEST(History, GradientTokensAreOptionalAndRoundTrip) {
   EXPECT_EQ(static_line.find("kmax"), std::string::npos) << static_line;
   const auto static_parsed = parse_history_line(static_line);
   ASSERT_TRUE(static_parsed.has_value());
-  EXPECT_EQ(static_parsed->worlds[0].lcount, 0u);
-  EXPECT_EQ(static_parsed->worlds[0].kcount, 0u);
+  const std::size_t l = *history_series_index("l");
+  const std::size_t k = *history_series_index("k");
+  EXPECT_EQ(static_parsed->worlds[0].series[l].count, 0u);
+  EXPECT_EQ(static_parsed->worlds[0].series[k].count, 0u);
 
-  entry.worlds[0].lmax = 0.9;
-  entry.worlds[0].lmean = 0.6;
-  entry.worlds[0].lcount = 4;
+  entry.worlds[0].series[l] = {0.9, 0.6, 4};
   const auto line = format_history_line(entry);
   const auto parsed = parse_history_line(line);
   ASSERT_TRUE(parsed.has_value()) << line;
-  EXPECT_EQ(parsed->worlds[0].lmax, 0.9);
-  EXPECT_EQ(parsed->worlds[0].lmean, 0.6);
-  EXPECT_EQ(parsed->worlds[0].lcount, 4u);
+  EXPECT_EQ(parsed->worlds[0].series[l].max, 0.9);
+  EXPECT_EQ(parsed->worlds[0].series[l].mean, 0.6);
+  EXPECT_EQ(parsed->worlds[0].series[l].count, 4u);
 
   // Trend gate: a local-skew regression fails even when the global max held.
   HistoryEntry regressed = entry;
-  regressed.worlds[0].lmax = 1.2;
+  regressed.worlds[0].series[l].max = 1.2;
   const auto failures = check_trend(entry, regressed, 5.0);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_NE(failures[0].find("local_skew_ratio"), std::string::npos)
       << failures[0];
   // A baseline without dynamic cells says nothing about local skew.
   HistoryEntry no_local_baseline = entry;
-  no_local_baseline.worlds[0].lcount = 0;
+  no_local_baseline.worlds[0].series[l].count = 0;
   EXPECT_TRUE(check_trend(no_local_baseline, regressed, 5.0).empty());
 }
 
