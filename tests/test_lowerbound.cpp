@@ -31,8 +31,14 @@ sim::ModelParams lb_model(double u_tilde) {
 
 struct LbCase {
   ProtocolKind protocol;
+  // Occupies what would be padding after the 4-byte enum. GoogleTest names
+  // each case by a byte dump of its parameter, so every byte must be defined
+  // for the test names to be the same from build to build.
+  std::int32_t reserved = 0;
   double u_tilde;
 };
+static_assert(sizeof(LbCase) ==
+              sizeof(ProtocolKind) + sizeof(std::int32_t) + sizeof(double));
 
 class LowerBound : public ::testing::TestWithParam<LbCase> {};
 
@@ -51,11 +57,12 @@ TEST_P(LowerBound, RealizedSkewMeetsBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, LowerBound,
-    ::testing::Values(LbCase{ProtocolKind::kCps, 0.05},
-                      LbCase{ProtocolKind::kCps, 0.15},
-                      LbCase{ProtocolKind::kCps, 0.30},
-                      LbCase{ProtocolKind::kLynchWelch, 0.15},
-                      LbCase{ProtocolKind::kSrikanthToueg, 0.15}),
+    ::testing::Values(
+        LbCase{.protocol = ProtocolKind::kCps, .u_tilde = 0.05},
+        LbCase{.protocol = ProtocolKind::kCps, .u_tilde = 0.15},
+        LbCase{.protocol = ProtocolKind::kCps, .u_tilde = 0.30},
+        LbCase{.protocol = ProtocolKind::kLynchWelch, .u_tilde = 0.15},
+        LbCase{.protocol = ProtocolKind::kSrikanthToueg, .u_tilde = 0.15}),
     [](const ::testing::TestParamInfo<LbCase>& info) {
       const auto& c = info.param;
       std::string p = baselines::to_string(c.protocol);
