@@ -1,18 +1,13 @@
 #pragma once
-// Shared plumbing for the experiment benches (E1–E10, see DESIGN.md and
-// EXPERIMENTS.md). Every bench prints one or more paper-style tables to
-// stdout via util::Table.
+// Shared plumbing for bench_sweep and bench_throughput: the canonical bench
+// model, one complete-world protocol run, and table printing via util::Table.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iostream>
-#include <memory>
-#include <vector>
 
 #include "baselines/factories.hpp"
 #include "core/adversaries.hpp"
-#include "core/cps.hpp"
 #include "sim/world.hpp"
 #include "util/table.hpp"
 
@@ -32,9 +27,16 @@ inline sim::ModelParams bench_model(std::uint32_t n, std::uint32_t f,
   return m;
 }
 
-inline sim::WorldConfig world_config(const sim::ModelParams& model,
-                                     const baselines::ProtocolSetup& setup,
-                                     std::size_t rounds, std::uint64_t seed) {
+/// Runs `kind` for `rounds` pulse rounds on spread clocks and random delays,
+/// with `f_actual` Byzantine nodes of `strategy`.
+inline sim::RunResult run_protocol(baselines::ProtocolKind kind,
+                                   const sim::ModelParams& model,
+                                   std::uint32_t f_actual,
+                                   core::ByzStrategy strategy,
+                                   std::uint64_t seed, std::size_t rounds) {
+  const auto setup = baselines::make_setup(kind, model);
+  auto honest = baselines::make_protocol_factory(setup);
+
   sim::WorldConfig config;
   config.model = model;
   config.seed = seed;
@@ -43,49 +45,13 @@ inline sim::WorldConfig world_config(const sim::ModelParams& model,
                    static_cast<double>(rounds + 2) * setup.round_length;
   config.clock_kind = sim::ClockKind::kSpread;
   config.delay_kind = sim::DelayKind::kRandom;
-  return config;
-}
-
-/// Runs `kind` with `f_actual` Byzantine nodes of `strategy`.
-inline sim::RunResult run_protocol(
-    baselines::ProtocolKind kind, const sim::ModelParams& model,
-    std::uint32_t f_actual, core::ByzStrategy strategy, std::uint64_t seed,
-    std::size_t rounds, sim::ClockKind clocks = sim::ClockKind::kSpread,
-    sim::DelayKind delays = sim::DelayKind::kRandom, double late_shift = 0.0,
-    double split_shift = 0.0) {
-  const auto setup = baselines::make_setup(kind, model);
-  auto honest = baselines::make_protocol_factory(setup);
-
-  sim::WorldConfig config = world_config(model, setup, rounds, seed);
-  config.clock_kind = clocks;
-  config.delay_kind = delays;
   config.faulty = sim::default_faulty_set(f_actual);
 
   sim::ByzantineFactory byz;
-  if (f_actual > 0) {
-    byz = core::make_byzantine_factory(strategy, honest, seed, late_shift,
-                                       split_shift);
-  }
+  if (f_actual > 0)
+    byz = core::make_byzantine_factory(strategy, honest, seed, 0.0, 0.0);
   sim::World world(config, honest, byz);
   return world.run();
-}
-
-/// Worst steady-state skew across seeds (skipping `warmup` rounds).
-inline double worst_steady_skew(baselines::ProtocolKind kind,
-                                const sim::ModelParams& model,
-                                std::uint32_t f_actual,
-                                core::ByzStrategy strategy, std::size_t rounds,
-                                std::size_t warmup,
-                                const std::vector<std::uint64_t>& seeds,
-                                double split_shift = 0.0) {
-  double worst = 0.0;
-  for (std::uint64_t seed : seeds) {
-    const auto result = run_protocol(kind, model, f_actual, strategy, seed,
-                                     rounds, sim::ClockKind::kSpread,
-                                     sim::DelayKind::kRandom, 0.0, split_shift);
-    worst = std::max(worst, result.trace.max_skew(warmup));
-  }
-  return worst;
 }
 
 inline void print(const util::Table& table) {

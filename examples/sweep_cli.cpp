@@ -1,118 +1,6 @@
 // sweep_cli — run a declarative scenario sweep from one invocation.
 //
-//   $ ./sweep_cli                                # default 36-scenario sweep
-//   $ ./sweep_cli --protocols=cps,st --n=4,5 --faults=0 --rounds=6
-//                 --threads=2 --format=table     # CI smoke sweep (one line)
-//   $ ./sweep_cli --world relay --topology hypercube --format=csv
-//   $ ./sweep_cli --world theorem5 --u-tilde 0.2
-//   $ ./sweep_cli --format=csv --out=camp.csv --resume=camp.manifest
-//                 --budget-ms=2000 --history=ratios.txt --gate-trend=5
-//
-// Flags take `--key=value` or `--key value`. Axes (comma-separated lists
-// expand to the cross product):
-//   --world=complete,relay,theorem5  simulation worlds (complete graph /
-//                                    Appendix-A sparse relay / Theorem-5
-//                                    lower-bound construction)
-//   --protocols=cps,lw,st,probe,gradient,jump-max  protocol kinds (probe =
-//                              the flood-probe transport conformance check;
-//                              gradient/jump-max = the one-hop KLLO-style
-//                              pair — bounded-rate vs jump-to-max clock
-//                              adjustment over current neighbors only;
-//                              theorem5 skips all three)
-//   --n=4,7,9                  cluster sizes (relay: topology size;
-//                              theorem5 pins n=3)
-//   --faults=0,max             faulty-node counts ("max" = the protocol's
-//                              optimal resilience at that n, capped by the
-//                              topology's connectivity for relay worlds)
-//   --vartheta=1.01            clock drift bounds
-//   --u=0.05                   delay uncertainties (per-hop u_hop for relay)
-//   --u-tilde=0.1,0.2          faulty-link uncertainties ũ (default: ũ = u);
-//                              the Theorem-5 construction's ũ
-//   --topology=ring,hypercube  relay topology families (complete|ring|
-//                              chordal-ring|ring-of-cliques|hypercube|random)
-//   --relay-fault=crash,reorder  faulty-relay behaviors for relay worlds
-//                              (crash|max-delay|reorder|selective-drop|
-//                              greedy-skew|search); only multiplies faulty
-//                              relay grid points. greedy-skew/search are
-//                              adaptive (traffic-observing) and additionally
-//                              multiply the churn axes
-//   --delays=random,split      delay policies (max|min|random|split), plus
-//                              custom spellings: custom:fixed:<fraction>,
-//                              custom:alternate, custom:target:<node>
-//                              (--delay is accepted as an alias)
-//   --clocks=spread,random-walk  clock assignments (nominal|spread|random-walk)
-//   --crypto=real,abstract     signature-cost models (real = SHA-256-backed
-//                              hashing, abstract = registry unforgeability
-//                              without hashing bytes — the large-n mode;
-//                              theorem5 collapses the axis)
-//   --byz=crash,split          Byzantine strategies (only for faults > 0);
-//                              also accepts st-accel
-//   --churn-rate=0,0.05        per-epoch edge-rewire rates (fraction of the
-//                              live edge set rewired each round; relay-only,
-//                              fault-free cells — a rate of 0 is the static
-//                              network and collapses with the other dynamic
-//                              axes into the classic cell)
-//   --join-batch=0,2           nodes leaving/rejoining per epoch (relay-only;
-//                              node n-1 anchors the beacon and never leaves)
-//   --reconnect=random,repair  reconnect policies for churned edges
-//                              (random|preferential|ring-repair)
-//   --kllo-stab=1,4            KLLO stabilization-time multipliers: the
-//                              per-edge-age envelope declares an edge
-//                              settled after ceil(mult·(1+log2 n)) rounds
-//                              (relay-only; multiplies churned cells only —
-//                              static cells pin the multiplier to 1)
-//   --search-budget=8,32       candidate schedules per search-fault cell
-//                              (multiplies relay-fault=search cells only;
-//                              candidate 0 replays the greedy policy, so
-//                              search weakly dominates greedy-skew)
-// Scalars:
-//   --d=1.0 --rounds=20 --warmup=5 --seed=1 --threads=1 --slack=1.0
-//   --gate=RATIO   fail (exit 1) when any scenario errored/timed out or any
-//                  feasible completed scenario has max_skew/bound > RATIO —
-//                  or, for theorem5 scenarios, fails to realize its lower
-//                  bound
-//   --gate-local=RATIO  fail (exit 1) when any scenario's local (gradient)
-//                  skew ratio local_skew/bound exceeds RATIO; the natural
-//                  gate for dynamic (churned) cells, where the global gate
-//                  is dominated by partition-transient rounds
-//   --gate-kllo=RATIO  fail (exit 1) when any relay scenario's kllo_ratio —
-//                  worst per-edge skew over the per-edge-AGE envelope
-//                  (runner/kllo.hpp) — exceeds RATIO. 1.0 gates on the
-//                  envelope itself: fresh edges get the settling allowance,
-//                  settled edges must sit inside the O(log n) band, which is
-//                  exactly where jump-to-max fails and gradient passes
-//                  (every gate RATIO must be >= 0)
-//   --budget-ms=N  per-scenario wall-clock budget: a cell that exhausts it
-//                  is aborted and exported with timed_out=1 instead of
-//                  hanging the sweep
-// Campaigns (streamed, resumable CSV):
-//   --resume=FILE  checkpoint manifest path; requires --format=csv --out.
-//                  Results stream to the CSV as they complete (memory stays
-//                  O(threads) however large the grid) and completed spec
-//                  digests checkpoint to FILE every --checkpoint-every=N
-//                  rows (default 32). Re-running the same command after a
-//                  kill resumes: already-recorded rows are skipped and the
-//                  final CSV is byte-identical to an uninterrupted run.
-// skew_ratio history:
-//   --history=FILE    append one summary line per run (max/mean skew_ratio
-//                     per world, tagged with a digest of the grid + seed)
-//                     to FILE
-//   --gate-trend=PCT  fail (exit 1) when any world's max skew_ratio
-//                     regressed more than PCT percent over the baseline, or
-//                     when any cell errored/timed out. The baseline is the
-//                     last --history entry for the SAME grid + seed that
-//                     completed cleanly (entries from other grids and
-//                     errored/timed-out runs are never a baseline; with no
-//                     comparable entry the trend check passes). A regressed
-//                     run is NOT appended, so the baseline stays.
-// Output:
-//   --format=csv|json|table (default table)   --out=FILE (default stdout)
-//
-// Exit status is non-zero if any scenario errored or timed out, any feasible
-// fault-free CPS scenario exceeded its Theorem-17 skew bound, or a --gate*
-// or --gate-trend tripped. Malformed flag values exit 2 naming the flag.
-// Relay cells whose D_f is a sampled lower bound are counted in one stderr
-// line after the sweep (their rows export d_eff_exact=0).
+// The flag reference is kUsage below; `sweep_cli --help` prints it.
 
 #include <cstdint>
 #include <exception>
@@ -133,6 +21,128 @@
 using namespace crusader;
 
 namespace {
+
+/// The one copy of the flag reference: --help/-h prints it to stdout.
+constexpr const char* kUsage =
+    R"(usage: sweep_cli [--key=value | --key value]...  (-h, --help: this text)
+
+Examples:
+  sweep_cli                                # default 36-scenario sweep
+  sweep_cli --protocols=cps,st --n=4,5 --faults=0 --rounds=6
+            --threads=2 --format=table         # CI smoke sweep (one line)
+  sweep_cli --world relay --topology hypercube --format=csv
+  sweep_cli --world theorem5 --u-tilde 0.2
+  sweep_cli --format=csv --out=camp.csv --resume=camp.manifest
+            --budget-ms=2000 --history=ratios.txt --gate-trend=5
+
+Flags take `--key=value` or `--key value`. Axes (comma-separated lists
+expand to the cross product):
+  --world=complete,relay,theorem5  simulation worlds (complete graph /
+                                   Appendix-A sparse relay / Theorem-5
+                                   lower-bound construction)
+  --protocols=cps,lw,st,probe,gradient,jump-max  protocol kinds (probe =
+                             the flood-probe transport conformance check;
+                             gradient/jump-max = the one-hop KLLO-style
+                             pair — bounded-rate vs jump-to-max clock
+                             adjustment over current neighbors only;
+                             theorem5 skips all three)
+  --n=4,7,9                  cluster sizes (relay: topology size;
+                             theorem5 pins n=3)
+  --faults=0,max             faulty-node counts ("max" = the protocol's
+                             optimal resilience at that n, capped by the
+                             topology's connectivity for relay worlds)
+  --vartheta=1.01            clock drift bounds
+  --u=0.05                   delay uncertainties (per-hop u_hop for relay)
+  --u-tilde=0.1,0.2          faulty-link uncertainties ũ (default: ũ = u);
+                             the Theorem-5 construction's ũ
+  --topology=ring,hypercube  relay topology families (complete|ring|
+                             chordal-ring|ring-of-cliques|hypercube|random)
+  --relay-fault=crash,reorder  faulty-relay behaviors for relay worlds
+                             (crash|max-delay|reorder|selective-drop|
+                             greedy-skew|search); only multiplies faulty
+                             relay grid points. greedy-skew/search are
+                             adaptive (traffic-observing) and additionally
+                             multiply the churn axes
+  --delays=random,split      delay policies (max|min|random|split), plus
+                             custom spellings: custom:fixed:<fraction>,
+                             custom:alternate, custom:target:<node>
+                             (--delay is accepted as an alias)
+  --clocks=spread,random-walk  clock assignments (nominal|spread|random-walk)
+  --crypto=real,abstract     signature-cost models (real = SHA-256-backed
+                             hashing, abstract = registry unforgeability
+                             without hashing bytes — the large-n mode;
+                             theorem5 collapses the axis)
+  --byz=crash,split          Byzantine strategies (only for faults > 0);
+                             also accepts st-accel
+  --churn-rate=0,0.05        per-epoch edge-rewire rates (fraction of the
+                             live edge set rewired each round; relay-only,
+                             fault-free cells — a rate of 0 is the static
+                             network and collapses with the other dynamic
+                             axes into the classic cell)
+  --join-batch=0,2           nodes leaving/rejoining per epoch (relay-only;
+                             node n-1 anchors the beacon and never leaves)
+  --reconnect=random,repair  reconnect policies for churned edges
+                             (random|preferential|ring-repair)
+  --kllo-stab=1,4            KLLO stabilization-time multipliers: the
+                             per-edge-age envelope declares an edge
+                             settled after ceil(mult·(1+log2 n)) rounds
+                             (relay-only; multiplies churned cells only —
+                             static cells pin the multiplier to 1)
+  --search-budget=8,32       candidate schedules per search-fault cell
+                             (multiplies relay-fault=search cells only;
+                             candidate 0 replays the greedy policy, so
+                             search weakly dominates greedy-skew)
+Scalars:
+  --d=1.0 --rounds=20 --warmup=5 --seed=1 --threads=1 --slack=1.0
+  --gate=RATIO   fail (exit 1) when any scenario errored/timed out or any
+                 feasible completed scenario has max_skew/bound > RATIO —
+                 or, for theorem5 scenarios, fails to realize its lower
+                 bound
+  --gate-local=RATIO  fail (exit 1) when any scenario's local (gradient)
+                 skew ratio local_skew/bound exceeds RATIO; the natural
+                 gate for dynamic (churned) cells, where the global gate
+                 is dominated by partition-transient rounds
+  --gate-kllo=RATIO  fail (exit 1) when any relay scenario's kllo_ratio —
+                 worst per-edge skew over the per-edge-AGE envelope
+                 (runner/kllo.hpp) — exceeds RATIO. 1.0 gates on the
+                 envelope itself: fresh edges get the settling allowance,
+                 settled edges must sit inside the O(log n) band, which is
+                 exactly where jump-to-max fails and gradient passes
+                 (every gate RATIO must be >= 0)
+  --budget-ms=N  per-scenario wall-clock budget: a cell that exhausts it
+                 is aborted and exported with timed_out=1 instead of
+                 hanging the sweep
+Campaigns (streamed, resumable CSV):
+  --resume=FILE  checkpoint manifest path; requires --format=csv --out.
+                 Results stream to the CSV as they complete (memory stays
+                 O(threads) however large the grid) and completed spec
+                 digests checkpoint to FILE every --checkpoint-every=N
+                 rows (default 32). Re-running the same command after a
+                 kill resumes: already-recorded rows are skipped and the
+                 final CSV is byte-identical to an uninterrupted run.
+skew_ratio history:
+  --history=FILE    append one summary line per run (max/mean skew_ratio
+                    per world, tagged with a digest of the grid + seed)
+                    to FILE
+  --gate-trend=PCT  fail (exit 1) when any world's max skew_ratio
+                    regressed more than PCT percent over the baseline, or
+                    when any cell errored/timed out. The baseline is the
+                    last --history entry for the SAME grid + seed that
+                    completed cleanly (entries from other grids and
+                    errored/timed-out runs are never a baseline; with no
+                    comparable entry the trend check passes). A regressed
+                    run is NOT appended, so the baseline stays.
+Output:
+  --format=csv|json|table (default table)   --out=FILE (default stdout)
+
+Exit status is non-zero if any scenario errored or timed out, any feasible
+fault-free CPS scenario exceeded its Theorem-17 skew bound, or a --gate*
+or --gate-trend tripped. Malformed flag values exit 2 naming the flag.
+Relay cells whose D_f is a sampled lower bound (their rows export
+d_eff_exact=0), and churned flooding cells with f > 0, whose D_f covers
+only the realized epoch graphs, are each counted in one stderr line after
+the sweep.
+)";
 
 std::vector<std::string> split(const std::string& csv) {
   std::vector<std::string> out;
@@ -239,6 +249,10 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    }
     if (arg.rfind("--", 0) != 0)
       return fail("expected --key=value or --key value, got '" + arg + "'");
     const auto eq = arg.find('=');
@@ -575,11 +589,18 @@ int main(int argc, char** argv) {
       print_table(os, report, summary);
   }
 
-  // One counted line, not a warning per analysis: sampled D_f is a lower bound.
+  // One counted line each, not a warning per analysis: sampled D_f is a
+  // lower bound, and a churned cell's D_f covers its realized epoch graphs
+  // only.
   if (summary.sampled_df_cells > 0)
     std::cerr << "sweep_cli: sampled D_f on " << summary.sampled_df_cells
               << " of " << summary.relay_cells
               << " relay cells (d_eff_exact=0)\n";
+  if (summary.realized_df_cells > 0)
+    std::cerr << "sweep_cli: D_f over realized epoch graphs only, not every "
+                 "fault set, on "
+              << summary.realized_df_cells << " of " << summary.relay_cells
+              << " relay cells (churned, f > 0)\n";
 
   // Gates: no errors or budget timeouts; fault-free CPS always within the
   // Theorem-17 bound; the armed metric-table gates (--gate, --gate-local,

@@ -39,8 +39,7 @@ void CpsNode::do_pulse(sim::Env& env) {
   const auto& model = env.model();
   const TcbInstance::Config tcb_config{pulse_local_,
                                        config_.params.accept_window,
-                                       config_.params.echo_guard,
-                                       !config_.ablate_echo_guard};
+                                       config_.params.echo_guard};
   for (NodeId dealer = 0; dealer < model.n; ++dealer) {
     if (dealer == env.id()) {
       instances_[dealer].reset();
@@ -181,16 +180,7 @@ void CpsNode::maybe_finish_round(sim::Env& env) {
     }
   }
 
-  double delta = 0.0;
-  if (config_.ablate_discard_rule) {
-    // Naive always-f discard (clamped): ignores what ⊥ reveals about which
-    // dealers are faulty. Kept only for the E12 ablation.
-    std::sort(values.begin(), values.end());
-    const auto discard = std::min<std::size_t>(f_, (values.size() - 1) / 2);
-    delta = (values[discard] + values[values.size() - 1 - discard]) / 2.0;
-  } else {
-    delta = sync::ApaNode::select_midpoint(values, f_, bots);
-  }
+  const double delta = sync::ApaNode::select_midpoint(values, f_, bots);
   deltas_.push_back(delta);
   stats_.max_abs_delta = std::max(stats_.max_abs_delta, std::abs(delta));
   ++stats_.rounds_completed;

@@ -30,17 +30,9 @@ struct CpsConfig {
   std::uint32_t f = 0xffffffffu;
   /// Stop pulsing after this many rounds (0 = run to the horizon).
   Round max_rounds = 0;
-  /// Record every raw offset estimate Δ_{v,y} (diagnostics; E2 bench).
+  /// Record every raw offset estimate Δ_{v,y} (diagnostics; the Lemma 12/13
+  /// tests in test_cps.cpp read them).
   bool record_estimates = false;
-
-  // --- Ablation switches (E12 bench; never set in production use) ---------
-  /// Disable the Figure-2 echo rejection: timed broadcast without the
-  /// "crusader" part. Equivocating dealers then yield inconsistent
-  /// estimates instead of ⊥.
-  bool ablate_echo_guard = false;
-  /// Replace the Figure-1 f−b discard with a naive always-f discard
-  /// (clamped to keep one value). Ignores the information carried by ⊥.
-  bool ablate_discard_rule = false;
 };
 
 /// One recorded raw estimate (only when CpsConfig::record_estimates).

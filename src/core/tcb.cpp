@@ -36,7 +36,6 @@ bool TcbInstance::on_direct(double h) {
 }
 
 void TcbInstance::on_third_party(double h) {
-  if (!config_.guard_enabled) return;  // ablation: no crusader rejection
   if (state_ == State::kDone) return;
   // Only copies inside the open interval starting at L count.
   if (!sim::lt_eps(config_.pulse_local, h)) return;

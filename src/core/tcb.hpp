@@ -28,11 +28,6 @@ class TcbInstance {
     double pulse_local = 0.0;    ///< L = H_v(p_v^r)
     double accept_window = 0.0;  ///< W = ϑ(d + (ϑ+1)S)
     double echo_guard = 0.0;     ///< d − 2u
-    /// Ablation switch (E12): when false, third-party copies are ignored —
-    /// i.e. plain timed broadcast instead of *crusader* broadcast. Breaks
-    /// Lemma 13 against equivocating dealers; exists to measure exactly how
-    /// much the echo rule buys.
-    bool guard_enabled = true;
   };
 
   TcbInstance(NodeId dealer, const Config& config);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace crusader::relay {
 
@@ -53,7 +52,7 @@ RelayAnalysis analyze_worst_hops(const RelayConfig& config) {
 }
 
 RelayAnalysis analyze_schedule_worst_hops(const TopologySchedule& schedule,
-                                          std::uint32_t f) {
+                                          std::uint32_t /*f*/) {
   const std::uint32_t n = schedule.initial().n();
   // Per-epoch, the excluded set is the concrete down mask — no C(n, f)
   // subset walk — so exactness only hinges on the source budget.
@@ -65,11 +64,6 @@ RelayAnalysis analyze_schedule_worst_hops(const TopologySchedule& schedule,
     const std::vector<bool> down = schedule.down_at(e);
     worst = std::max(worst, topo.worst_distance_with_faults(
                                 down, exact ? 0u : topo.sampled_source_cap()));
-  }
-  if (f > 0) {
-    CS_WARN << "relay: dynamic schedule analyzed with f=" << f
-            << "; D_f covers the realized epoch graphs only, not every "
-               "fault set";
   }
   return RelayAnalysis{worst, exact};
 }

@@ -167,10 +167,11 @@ struct RelayEffective {
 /// hop distance among *live* nodes, maximized over every epoch graph of the
 /// schedule (down nodes are isolated and passed as the BFS exclusion mask).
 /// This is realized-schedule analysis — D_f for the graphs the run actually
-/// sees — not an adversarial bound over all fault sets; dynamic cells run
-/// fault-free, and `f` only widens the warning when callers combine churn
-/// with a fault budget. Exact (exhaustive sources per epoch) while n fits
-/// the source budget, sampled above it, and deterministic either way.
+/// sees — not an adversarial bound over all fault sets. The fault budget `f`
+/// does not enter it; a sweep counts its churned cells with f > 0 in one
+/// line instead (SweepSummary::realized_df_cells). Exact (exhaustive sources
+/// per epoch) while n fits the source budget, sampled above it, and
+/// deterministic either way.
 [[nodiscard]] RelayAnalysis analyze_schedule_worst_hops(
     const TopologySchedule& schedule, std::uint32_t f);
 

@@ -653,6 +653,9 @@ void SweepSummary::add(const ScenarioResult& result) {
   if (result.spec.world == WorldKind::kRelay) {
     ++relay_cells;
     if (!result.d_eff_exact) ++sampled_df_cells;
+    if (result.spec.dynamic() && result.spec.f > 0 &&
+        !baselines::neighbor_cast(result.spec.protocol))
+      ++realized_df_cells;
   }
   if (result.feasible) slice_for(worlds, result.spec.world).add(result);
 }

@@ -139,10 +139,13 @@ struct SweepSummary : SliceStats {
   std::vector<ArmedGate> gates;
   void arm_gate(const Column& column, double ratio);
 
-  /// Relay rows that ran (no error or timeout), and those whose D_f is a
-  /// sampled lower bound (d_eff_exact == false).
+  /// Relay rows that ran (no error or timeout), those whose D_f is a
+  /// sampled lower bound (d_eff_exact == false), and the churned flooding
+  /// rows with a fault budget f > 0, whose D_f covers the realized epoch
+  /// graphs only, not every fault set of size f.
   std::size_t relay_cells = 0;
   std::size_t sampled_df_cells = 0;
+  std::size_t realized_df_cells = 0;
 
   /// Per-protocol slices of every row, in first-appearance order.
   std::vector<std::pair<baselines::ProtocolKind, SliceStats>> protocols;

@@ -72,7 +72,7 @@ class ApaNode final : public SyncProtocol {
 
 /// Convenience harness: runs APA among n nodes with the given honest inputs
 /// and adversary; returns the honest outputs (indexed by node id; faulty
-/// slots hold NaN). Used by tests and the E1 bench.
+/// slots hold NaN). Used by the tests.
 struct ApaRunResult {
   std::vector<double> outputs;                 // per node; NaN for faulty
   std::vector<std::vector<double>> trajectories;  // honest trajectories

@@ -89,6 +89,11 @@ TEST(ParamSolver, Corollary4Threshold) {
   // Feasibility flips at the threshold.
   EXPECT_TRUE(derive_cps_params(model(1.0, 0.01, threshold - 1e-3)).feasible);
   EXPECT_FALSE(derive_cps_params(model(1.0, 0.01, threshold + 1e-3)).feasible);
+  // Corollary 4 bounds ϑ by constants alone: the threshold does not move
+  // with u/d.
+  for (double u : {0.001, 0.05, 0.1, 0.3})
+    EXPECT_NEAR(ParamSolver::max_vartheta(1.0, u), threshold, 1e-6)
+        << "u/d = " << u;
 }
 
 TEST(ParamSolver, SlackScalesS) {

@@ -380,6 +380,44 @@ TEST(Dynamic, LargeChurnedCellCompletesLive) {
   EXPECT_FALSE(violates_gate(result, 1e9));
 }
 
+TEST(Dynamic, SummaryCountsChurnedFaultyCellsInOneCounter) {
+  // A churned cell with a fault budget (only adaptive relay faults compose
+  // with churn) gets D_f over its realized epoch graphs, not over every
+  // fault set: the sweep counts such cells once instead of warning per cell.
+  SweepGrid grid;
+  grid.worlds = {WorldKind::kRelay};
+  grid.protocols = {baselines::ProtocolKind::kCps};
+  grid.topologies = {TopologyKind::kHypercube};
+  grid.ns = {16};
+  grid.fault_loads = {0, SweepGrid::kMaxResilience};
+  grid.relay_faults = {relay::RelayFaultKind::kGreedySkew};
+  grid.churn_rates = {0.0, 0.1};
+  grid.us = {0.01};
+  grid.varthetas = {1.001};
+  grid.rounds = 6;
+  grid.warmup = 2;
+  const auto specs = grid.expand();
+
+  std::size_t churned = 0;
+  std::size_t churned_faulty = 0;
+  for (const auto& spec : specs) {
+    if (!spec.dynamic()) continue;
+    ++churned;
+    if (spec.f > 0) ++churned_faulty;
+  }
+  ASSERT_EQ(specs.size(), 4u);
+  ASSERT_EQ(churned, 2u);
+  ASSERT_EQ(churned_faulty, 1u);
+
+  SweepSummary summary;
+  run_sweep_streamed(specs, RunnerOptions{},
+                     [&](const ScenarioResult& r) { summary.add(r); });
+  EXPECT_EQ(summary.errors, 0u);
+  EXPECT_EQ(summary.relay_cells, 4u);
+  EXPECT_EQ(summary.realized_df_cells, 1u);
+  EXPECT_EQ(summary.sampled_df_cells, 0u);
+}
+
 TEST(Dynamic, EffectiveCacheRefusesDynamicSchedules) {
   // The memo key does not fold the schedule, so serving a dynamic cell from
   // the cache would silently reuse a static analysis.
