@@ -11,7 +11,12 @@
 #     rows: running the grid twice yields identical CSVs (schedules replay
 #     from (seed, policy)),
 #   * local_skew is exported for every completed dynamic row and never
-#     exceeds the global max_skew.
+#     exceeds the global max_skew,
+#   * churn at scale stays cheap and deterministic: a 4096-node churned
+#     hypercube (rewires plus leaves, every reconnect policy) runs twice to
+#     byte-identical CSVs. Its schedule takes thousands of rewire and leave
+#     checks, and its per-epoch D_f analysis walks both the sparse and the
+#     dense levels of the bit-parallel BFS.
 #
 # Usage: smoke_sweep_dynamic.sh <path-to-sweep_cli> <workdir>
 set -euo pipefail
@@ -37,6 +42,15 @@ echo "== churned sweep (gated on local_skew_ratio) =="
 echo "== determinism: the same grid replays byte-identically =="
 "$CLI" "${GRID[@]}" --out="$DIR/dynamic_again.csv"
 diff "$DIR/dynamic.csv" "$DIR/dynamic_again.csv"
+
+echo "== churn at scale: n=4096 churned hypercube, replayed byte-identically =="
+LARGE=(--world=relay --protocols=probe --topology=hypercube --n=4096
+       --faults=0 --crypto=abstract --delays=split --churn-rate=0.02
+       --join-batch=4 --reconnect=random,preferential,ring-repair
+       --rounds=8 --warmup=2 --threads=2 --gate-local=3.0 --format=csv)
+"$CLI" "${LARGE[@]}" --out="$DIR/large.csv"
+"$CLI" "${LARGE[@]}" --out="$DIR/large_again.csv"
+diff "$DIR/large.csv" "$DIR/large_again.csv"
 
 echo "== every completed dynamic row exports local_skew <= max_skew =="
 awk -F, '

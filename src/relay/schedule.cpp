@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <numeric>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -50,37 +50,49 @@ struct DeltaBuilder {
   }
 };
 
-/// BFS reachability over the non-down nodes only. Down nodes are isolated by
-/// construction, so this is the connectivity of the graph the protocol
-/// actually runs on.
-[[nodiscard]] bool live_connected(const Topology& topo,
-                                  const std::vector<bool>& down) {
-  const std::uint32_t n = topo.n();
-  NodeId start = kInvalidNode;
-  std::size_t live = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (down[v]) continue;
-    if (start == kInvalidNode) start = v;
-    ++live;
-  }
-  if (live <= 1) return true;
-  std::vector<bool> seen(n, false);
-  std::deque<NodeId> queue;
-  seen[start] = true;
-  queue.push_back(start);
-  std::size_t reached = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (const NodeId w : topo.neighbors(v)) {
-      if (seen[w] || down[w]) continue;
-      seen[w] = true;
-      ++reached;
-      queue.push_back(w);
+/// Early-exit reachability over live nodes. The schedule keeps the live graph
+/// connected, so after a removal it only has to ask whether the nodes the
+/// removal separated still reach each other, and that walk usually stops
+/// within a few hops. Marks are stamped per walk, so a walk costs only the
+/// nodes it visits.
+class LiveWalk {
+ public:
+  explicit LiveWalk(std::uint32_t n) : mark_(n, 0) {}
+
+  /// True iff the nodes of `targets` all reach each other through live
+  /// nodes.
+  [[nodiscard]] bool connects(const Topology& topo,
+                              const std::vector<bool>& down,
+                              const std::vector<NodeId>& targets) {
+    if (targets.empty()) return true;
+    const std::uint64_t target = ++stamp_;  // a target not reached yet
+    const std::uint64_t seen = ++stamp_;
+    std::size_t remaining = 0;
+    for (const NodeId t : targets) {
+      if (mark_[t] == target) continue;
+      mark_[t] = target;
+      ++remaining;
     }
+    const auto visit = [&](NodeId v) {
+      if (mark_[v] == target) --remaining;
+      mark_[v] = seen;
+      queue_.push_back(v);
+    };
+    queue_.clear();
+    visit(targets.front());
+    for (std::size_t head = 0; head < queue_.size() && remaining > 0; ++head) {
+      for (const NodeId w : topo.neighbors(queue_[head])) {
+        if (!down[w] && mark_[w] != seen) visit(w);
+      }
+    }
+    return remaining == 0;
   }
-  return reached == live;
-}
+
+ private:
+  std::vector<std::uint64_t> mark_;
+  std::uint64_t stamp_ = 0;
+  std::vector<NodeId> queue_;
+};
 
 /// Uniform live node, or kInvalidNode when the bounded rejection sampling
 /// fails (only possible when almost everything is down).
@@ -167,6 +179,13 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
   const std::uint32_t n = initial.n();
   Topology cur = initial;
   std::vector<bool> down(n, false);
+  // Every removal below is checked locally, which is exact only while the
+  // live graph is connected before it; the initial graph must start that way.
+  LiveWalk walk(n);
+  std::vector<NodeId> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), NodeId{0});
+  CS_CHECK_MSG(walk.connects(cur, down, everyone),
+               "churn needs a connected initial topology");
   // Adjacency each node had at the moment it left, for ring-repair rejoins
   // and for sizing the fresh edge set under the other policies.
   std::vector<std::vector<NodeId>> edges_at_leave(n);
@@ -220,7 +239,7 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
       if (a == kInvalidNode || cur.neighbors(a).empty()) continue;
       const NodeId b = cur.neighbors(a)[rng.below(cur.neighbors(a).size())];
       cur.remove_edge(a, b);
-      if (!live_connected(cur, down)) {
+      if (!walk.connects(cur, down, {a, b})) {
         cur.add_edge(a, b);  // revert: this edge is a live-graph bridge
         continue;
       }
@@ -254,7 +273,8 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
         const std::vector<NodeId> partners = cur.neighbors(v);
         for (const NodeId p : partners) cur.remove_edge(v, p);
         down[v] = true;
-        if (!live_connected(cur, down)) {
+        // Every part of the rest of the graph holds one of v's partners.
+        if (!walk.connects(cur, down, partners)) {
           down[v] = false;
           for (const NodeId p : partners) cur.add_edge(v, p);
           continue;
@@ -277,14 +297,19 @@ bool TopologySchedule::dynamic() const noexcept {
                      [](const EpochDelta& d) { return !d.empty(); });
 }
 
+void apply_delta(const EpochDelta& delta, Topology& topo,
+                 std::vector<bool>& down) {
+  for (const NodeId v : delta.joins) down[v] = false;
+  for (const auto& [a, b] : delta.removed) topo.remove_edge(a, b);
+  for (const auto& [a, b] : delta.added) topo.add_edge(a, b);
+  for (const NodeId v : delta.leaves) down[v] = true;
+}
+
 Topology TopologySchedule::at_epoch(std::size_t epoch) const {
   Topology topo = initial_;
+  std::vector<bool> down(initial_.n(), false);
   const std::size_t upto = std::min(epoch, deltas_.size());
-  for (std::size_t e = 0; e < upto; ++e) {
-    const EpochDelta& d = deltas_[e];
-    for (const auto& [a, b] : d.removed) topo.remove_edge(a, b);
-    for (const auto& [a, b] : d.added) topo.add_edge(a, b);
-  }
+  for (std::size_t e = 0; e < upto; ++e) apply_delta(deltas_[e], topo, down);
   return topo;
 }
 

@@ -21,6 +21,11 @@
 //      disconnect the surviving live graph is re-drawn.
 // Every epoch's live graph is connected by construction — the invariant the
 // per-epoch D_f recomputation and the flood re-forward machinery rely on.
+// Because the graph is connected before each removal, the disconnect checks
+// are local: a removed edge {a, b} disconnects it iff a no longer reaches b,
+// and a leave iff the leaver's former partners no longer reach each other.
+// Generation therefore requires a connected initial graph and refuses any
+// other with a CheckFailure.
 //
 // Down nodes are isolated in the epoch topology (all their edges removed),
 // so `at_epoch` graphs can be analyzed with the down mask as the excluded
@@ -78,6 +83,11 @@ struct EpochDelta {
     return joins.empty() && removed.empty() && added.empty() && leaves.empty();
   }
 };
+
+/// Applies one epoch delta to a running graph and down mask, in the order
+/// joins → removed → added → leaves.
+void apply_delta(const EpochDelta& delta, Topology& topo,
+                 std::vector<bool>& down);
 
 class TopologySchedule {
  public:

@@ -156,15 +156,15 @@ bool Topology::worst_case_distance_is_exact(std::uint32_t f) const {
 
 std::uint32_t Topology::worst_distance_with_faults(
     const std::vector<bool>& excluded, std::uint32_t source_budget) const {
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
   CS_CHECK(excluded.size() == n());
   std::vector<NodeId> sources;
   sources.reserve(n());
   for (NodeId s = 0; s < n(); ++s)
     if (!excluded[s]) sources.push_back(s);
   if (source_budget > 0 && sources.size() > source_budget) {
-    // Deterministic evenly-strided sample. Every retained BFS still checks
-    // full reachability below, so connectivity verification stays exact.
+    // Deterministic evenly-strided sample. Every retained source still has
+    // to reach every survivor below, so connectivity verification stays
+    // exact.
     std::vector<NodeId> sampled;
     sampled.reserve(source_budget);
     for (std::uint32_t i = 0; i < source_budget; ++i)
@@ -172,17 +172,79 @@ std::uint32_t Topology::worst_distance_with_faults(
           sources[static_cast<std::size_t>(i) * sources.size() / source_budget]);
     sources.swap(sampled);
   }
+
+  // Multi-source BFS (Then et al., "The More the Merrier", VLDB 2015): up to
+  // 64 sources walk the graph together, one bit lane each. seen[v] holds the
+  // lanes that have reached v, frontier[v] the lanes that reached v at the
+  // current level, next[v] those reaching it at the next one. Unused lanes
+  // and every lane of an excluded node start out seen, so no walk enters an
+  // excluded node and a survivor is reached by every source iff its word is
+  // all ones.
+  using Lanes = std::uint64_t;
+  constexpr std::size_t kLanes = 64;
+  constexpr Lanes kAll = ~Lanes{0};
+  // A level whose frontier holds more than n / kDenseDivisor nodes sweeps
+  // all nodes in id order; a smaller one walks a list of its nodes.
+  constexpr std::size_t kDenseDivisor = 16;
+  std::vector<Lanes> seen(n());
+  std::vector<Lanes> frontier(n(), 0);
+  std::vector<Lanes> next(n(), 0);
+  std::vector<NodeId> active;
+  std::vector<NodeId> upcoming;
   std::uint32_t worst = 0;
-  std::vector<std::uint32_t> dist;
-  for (const NodeId s : sources) {
-    bfs_from(s, excluded, dist);
-    for (NodeId t = 0; t < n(); ++t) {
-      if (t == s || excluded[t]) continue;
-      CS_CHECK_MSG(dist[t] != kInf,
+  for (std::size_t base = 0; base < sources.size(); base += kLanes) {
+    const std::size_t lanes = std::min(kLanes, sources.size() - base);
+    const Lanes unused = lanes == kLanes ? 0 : kAll << lanes;
+    for (NodeId v = 0; v < n(); ++v) seen[v] = excluded[v] ? kAll : unused;
+    active.assign(sources.begin() + static_cast<std::ptrdiff_t>(base),
+                  sources.begin() + static_cast<std::ptrdiff_t>(base + lanes));
+    for (std::size_t i = 0; i < lanes; ++i) {
+      seen[active[i]] |= Lanes{1} << i;
+      frontier[active[i]] = Lanes{1} << i;
+    }
+    bool listed = true;  // `active` lists the frontier (no dense level since)
+    std::size_t frontier_size = lanes;
+    for (std::uint32_t level = 1; frontier_size > 0; ++level) {
+      const bool dense = frontier_size * kDenseDivisor > n();
+      if (!dense && !listed) {
+        active.clear();
+        for (NodeId v = 0; v < n(); ++v)
+          if (frontier[v] != 0) active.push_back(v);
+      }
+      std::size_t reached = 0;
+      upcoming.clear();
+      const auto expand = [&](NodeId v) {
+        const Lanes lanes_at_v = frontier[v];
+        frontier[v] = 0;
+        for (const NodeId w : adj_[v]) {
+          const Lanes fresh = lanes_at_v & ~seen[w];
+          if (fresh == 0) continue;
+          if (next[w] == 0) {
+            ++reached;
+            if (!dense) upcoming.push_back(w);
+          }
+          next[w] |= fresh;
+          seen[w] |= fresh;
+        }
+      };
+      if (dense) {
+        for (NodeId v = 0; v < n(); ++v)
+          if (frontier[v] != 0) expand(v);
+      } else {
+        for (const NodeId v : active) expand(v);
+      }
+      frontier.swap(next);
+      active.swap(upcoming);
+      listed = !dense;
+      frontier_size = reached;
+      // Some lane reached a node first at this level: it lies `level` hops
+      // from that lane's source.
+      if (reached > 0) worst = std::max(worst, level);
+    }
+    for (NodeId t = 0; t < n(); ++t)
+      CS_CHECK_MSG(seen[t] == kAll,
                    "faulty set disconnects the topology (not "
                    "(f+1)-connected?)");
-      worst = std::max(worst, dist[t]);
-    }
   }
   return worst;
 }

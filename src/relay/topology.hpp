@@ -36,18 +36,19 @@ class Topology {
   [[nodiscard]] std::uint32_t distance(NodeId s, NodeId t,
                                        const std::vector<bool>& excluded) const;
 
-  /// Max over non-excluded pairs of dist_{G−excluded}(s, t), one BFS per
-  /// source. Throws (CS_CHECK) when the exclusions disconnect the
+  /// Max over non-excluded pairs of dist_{G−excluded}(s, t), from a
+  /// bit-parallel BFS that walks up to 64 sources at once (one bit lane per
+  /// source). Throws (CS_CHECK) when the exclusions disconnect the
   /// survivors. This is the per-faulty-set step of worst_case_distance,
   /// exposed for callers that need one concrete fault set evaluated
   /// exactly (see relay::compute_effective's sampled regime).
   ///
-  /// `source_budget` = 0 (the default) runs one BFS per surviving source —
-  /// exhaustive, the historical behavior. A positive budget caps the BFS
-  /// count at that many evenly-strided sources: the returned eccentricity
-  /// becomes a lower bound (exact on vertex-transitive graphs), but the
-  /// connectivity CS_CHECK stays exact — any single source reaching every
-  /// survivor proves the survivor graph connected.
+  /// `source_budget` = 0 (the default) walks from every surviving source —
+  /// exhaustive. A positive budget caps the sources at that many
+  /// evenly-strided ones: the returned eccentricity becomes a lower bound
+  /// (exact on vertex-transitive graphs), but the connectivity CS_CHECK
+  /// stays exact — any single source reaching every survivor proves the
+  /// survivor graph connected.
   [[nodiscard]] std::uint32_t worst_distance_with_faults(
       const std::vector<bool>& excluded, std::uint32_t source_budget = 0) const;
 
@@ -62,9 +63,10 @@ class Topology {
   /// D_f that bounds the relay path length, hence the effective end-to-end
   /// delay D_f · d_hop. Requires survives_faults(f).
   ///
-  /// Evaluated with one BFS per (subset, source). When the number of size-f
-  /// subsets fits the deterministic budget (kWorstCaseSubsetBudget — always
-  /// the case for n ≤ 12) the walk is exhaustive and the result exact;
+  /// Evaluated with one worst_distance_with_faults walk per subset. When
+  /// the number of size-f subsets fits the deterministic budget
+  /// (kWorstCaseSubsetBudget — always the case for n ≤ 12) the walk is
+  /// exhaustive and the result exact;
   /// beyond the budget a fixed sample is probed instead — every node's
   /// first-f-neighbors cut plus seeded random subsets — so n ≥ 64
   /// ring-of-cliques sweeps finish. The sampled estimate is a lower bound
@@ -77,13 +79,14 @@ class Topology {
   static constexpr std::uint64_t kWorstCaseSubsetBudget = 2048;
 
   /// Source budget for the exhaustive walk: above this n even the f = 0
-  /// all-pairs eccentricity (one BFS per source) is a cliff, so
+  /// all-pairs eccentricity (a walk from every source) is a cliff, so
   /// worst_case_distance switches to the sampled regime and every probe
   /// samples its BFS sources (see sampled_source_cap).
   static constexpr std::uint32_t kWorstCaseSourceBudget = 256;
 
   /// BFS sources per sampled-regime probe at this n. Shrinks past 2^16
-  /// nodes so a 10^6-node analysis stays at a handful of O(n·deg) walks.
+  /// nodes to 16, so a 10^6-node probe is one bit-parallel walk with a
+  /// quarter of its 64 lanes in use.
   [[nodiscard]] std::uint32_t sampled_source_cap() const noexcept {
     return n() <= (1u << 16) ? kWorstCaseSourceBudget : 16u;
   }
@@ -125,7 +128,8 @@ class Topology {
                            const std::function<void(std::vector<bool>&)>& fn) const;
 
   /// Single-source BFS over non-excluded nodes; fills `dist` (resized to n)
-  /// with hop counts, UINT32_MAX for excluded/unreachable nodes.
+  /// with hop counts, UINT32_MAX for excluded/unreachable nodes. Used by
+  /// survives_faults, which needs one source per subset.
   void bfs_from(NodeId s, const std::vector<bool>& excluded,
                 std::vector<std::uint32_t>& dist) const;
 

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -156,7 +157,7 @@ TEST(Topology, WorstCaseDistanceMonotoneInFaults) {
 
 TEST(Topology, BfsWalkAgreesWithBruteForceUpToTwelveNodes) {
   // n ≤ 12 keeps every family inside the exhaustive-subset budget, where
-  // the per-source BFS must reproduce the brute-force walk bit for bit.
+  // the bit-parallel BFS must reproduce the brute-force walk bit for bit.
   for (std::uint32_t n = 4; n <= 12; ++n) {
     SCOPED_TRACE(testing::Message() << "ring n=" << n);
     const auto ring = Topology::ring(n);
@@ -201,6 +202,84 @@ TEST(Topology, SampledWalkIsDeterministicAndCoversLargeN) {
   EXPECT_GE(d3, d0);
   EXPECT_EQ(d3, topo.worst_case_distance(3));
   EXPECT_TRUE(topo.survives_faults(3));  // exact even at n = 64
+}
+
+/// Reference for worst_distance_with_faults: the same evenly-strided source
+/// sample, then one pairwise Topology::distance per (source, survivor).
+std::uint32_t pairwise_worst_distance(const Topology& topo,
+                                      const std::vector<bool>& excluded,
+                                      std::uint32_t source_budget) {
+  std::vector<NodeId> survivors;
+  for (NodeId v = 0; v < topo.n(); ++v)
+    if (!excluded[v]) survivors.push_back(v);
+  std::vector<NodeId> sources = survivors;
+  if (source_budget > 0 && sources.size() > source_budget) {
+    sources.clear();
+    for (std::uint32_t i = 0; i < source_budget; ++i)
+      sources.push_back(survivors[static_cast<std::size_t>(i) *
+                                  survivors.size() / source_budget]);
+  }
+  std::uint32_t worst = 0;
+  for (const NodeId s : sources)
+    for (const NodeId t : survivors)
+      worst = std::max(worst, topo.distance(s, t, excluded));
+  return worst;
+}
+
+TEST(Topology, BitParallelWalkAgreesWithPairwiseDistancesAcrossLanes) {
+  // The walk runs 64 sources per word. n = 63, 64, 65 and 130 put the last
+  // word just under, exactly at, and just over a lane boundary (and span
+  // three words); budgets 64 and 100 exercise a full and a partial strided
+  // sample.
+  struct Graph {
+    const char* family;
+    Topology topo;
+    std::uint32_t survives;  ///< faults the family tolerates
+  };
+  std::vector<Graph> graphs;
+  for (const std::uint32_t n : {63u, 64u, 65u, 130u}) {
+    graphs.push_back({"ring", Topology::ring(n), 1});
+    graphs.push_back({"chordal", Topology::chordal_ring(n, 5), 3});
+    graphs.push_back({"random", Topology::random_connected(n, 2, 17 + n), 2});
+  }
+  graphs.push_back({"hypercube", Topology::hypercube(7), 3});
+  for (const auto& [family, topo, survives] : graphs) {
+    const std::uint32_t n = topo.n();
+    const NodeId spread[] = {1, n / 2, n - 3};
+    for (const bool with_faults : {false, true}) {
+      std::vector<bool> excluded(n, false);
+      if (with_faults)
+        for (std::uint32_t i = 0; i < std::min(survives, 3u); ++i)
+          excluded[spread[i]] = true;
+      for (const std::uint32_t budget : {0u, 64u, 100u}) {
+        SCOPED_TRACE(testing::Message()
+                     << family << " n=" << n << " faults=" << with_faults
+                     << " budget=" << budget);
+        EXPECT_EQ(topo.worst_distance_with_faults(excluded, budget),
+                  pairwise_worst_distance(topo, excluded, budget));
+      }
+    }
+  }
+}
+
+TEST(Topology, BitParallelWalkRefusesADisconnectingFaultSetBeyondOneWord) {
+  // Removing two antipodal nodes cuts a 130-node ring in two. Every budget
+  // keeps more than 64 sources, so the check must hold across words.
+  const auto ring = Topology::ring(130);
+  std::vector<bool> excluded(130, false);
+  excluded[0] = true;
+  excluded[65] = true;
+  for (const std::uint32_t budget : {0u, 100u}) {
+    SCOPED_TRACE(testing::Message() << "budget=" << budget);
+    try {
+      (void)ring.worst_distance_with_faults(excluded, budget);
+      ADD_FAILURE() << "disconnecting fault set accepted";
+    } catch (const util::CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("disconnects the topology"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 sim::ModelParams hop_model(std::uint32_t n, std::uint32_t f) {

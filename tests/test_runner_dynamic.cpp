@@ -108,6 +108,171 @@ TEST(Schedule, EveryEpochGraphIsLiveConnectedWithIsolatedDownNodes) {
   }
 }
 
+// --- Golden schedule digests -------------------------------------------------
+//
+// Each row pins TopologySchedule::digest() for one (family, reconnect policy,
+// join batch, churn rate) point. The digests were captured when the generator
+// still re-checked the whole live graph with a BFS after every edge removal,
+// so the table proves that its local reachability walk accepts and reverts
+// exactly the rewires and leaves that full check did.
+
+struct GoldenFamily {
+  const char* name;
+  relay::Topology (*make)();
+};
+
+constexpr GoldenFamily kHypercube4{
+    "hypercube4", [] { return relay::Topology::hypercube(4); }};
+constexpr GoldenFamily kHypercube8{
+    "hypercube8", [] { return relay::Topology::hypercube(8); }};
+constexpr GoldenFamily kChordalRing64{
+    "chordal64s5", [] { return relay::Topology::chordal_ring(64, 5); }};
+constexpr GoldenFamily kRingOfCliques8x4{
+    "cliques8x4b2", [] { return relay::Topology::ring_of_cliques(8, 4, 2); }};
+constexpr GoldenFamily kRandom32{
+    "random32f2", [] { return relay::Topology::random_connected(32, 2, 11); }};
+
+struct GoldenSchedule {
+  const GoldenFamily& family;
+  relay::ReconnectPolicy reconnect;
+  std::uint32_t join_batch;
+  std::uint32_t churn_pct;  ///< churn rate in percent
+  bool pinned;              ///< pin the even-numbered nodes
+  std::uint64_t digest;
+};
+
+std::string golden_name(const GoldenSchedule& row) {
+  std::string name = std::string(row.family.name) + "_" +
+                     relay::to_string(row.reconnect) + "_j" +
+                     std::to_string(row.join_batch) + "_c" +
+                     std::to_string(row.churn_pct);
+  if (row.pinned) name += "_pinned";
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+// GoogleTest prints the parameter into each test's name; print the row's
+// name rather than its raw bytes.
+void PrintTo(const GoldenSchedule& row, std::ostream* os) {
+  *os << golden_name(row);
+}
+
+constexpr auto kRand = relay::ReconnectPolicy::kRandom;
+constexpr auto kPref = relay::ReconnectPolicy::kPreferential;
+constexpr auto kRepair = relay::ReconnectPolicy::kRingRepair;
+constexpr std::uint32_t kGoldenEpochs = 10;
+constexpr std::uint64_t kGoldenSeed = 20220725;
+
+constexpr GoldenSchedule kGoldenSchedules[] = {
+    {kHypercube4, kRand, 0, 5, false, 0x6851d75843204142ULL},
+    {kHypercube4, kRand, 0, 25, false, 0xa838b836c3784f2ULL},
+    {kHypercube4, kRand, 3, 5, false, 0x4feab7a9a59006e8ULL},
+    {kHypercube4, kRand, 3, 25, false, 0xecd1a1e7227d009dULL},
+    {kHypercube4, kPref, 0, 5, false, 0x5e3c3ca15ebfd131ULL},
+    {kHypercube4, kPref, 0, 25, false, 0x4ddeaaa869461842ULL},
+    {kHypercube4, kPref, 3, 5, false, 0x899e6624f309c0aeULL},
+    {kHypercube4, kPref, 3, 25, false, 0x2e7229f8f567d3ceULL},
+    {kHypercube4, kRepair, 0, 5, false, 0xca79ba13d9d7e9d3ULL},
+    {kHypercube4, kRepair, 0, 25, false, 0xcdae944d28f5a4aeULL},
+    {kHypercube4, kRepair, 3, 5, false, 0x500f7ffb6be1a2feULL},
+    {kHypercube4, kRepair, 3, 25, false, 0x3532bc29d06c7cc7ULL},
+    {kHypercube8, kRand, 0, 5, false, 0x35a1cb6ce29efbefULL},
+    {kHypercube8, kRand, 0, 25, false, 0xac2fbdfe0ae0131dULL},
+    {kHypercube8, kRand, 3, 5, false, 0x24019e072cff1ffcULL},
+    {kHypercube8, kRand, 3, 25, false, 0xb412d0524e09b5e1ULL},
+    {kHypercube8, kPref, 0, 5, false, 0x3b72ddab8a007b21ULL},
+    {kHypercube8, kPref, 0, 25, false, 0xb4803608b6a08cf6ULL},
+    {kHypercube8, kPref, 3, 5, false, 0x78164ee6c7fdbdc3ULL},
+    {kHypercube8, kPref, 3, 25, false, 0xb6a73653688ffa9aULL},
+    {kHypercube8, kRepair, 0, 5, false, 0xd79e5997962eeb29ULL},
+    {kHypercube8, kRepair, 0, 25, false, 0xf9bf3725cfa6fcadULL},
+    {kHypercube8, kRepair, 3, 5, false, 0xe6345209e20b38fdULL},
+    {kHypercube8, kRepair, 3, 25, false, 0x68ac8e054d4d0affULL},
+    {kChordalRing64, kRand, 0, 5, false, 0xf64082c95a3d38b1ULL},
+    {kChordalRing64, kRand, 0, 25, false, 0xbe60951688e275f0ULL},
+    {kChordalRing64, kRand, 3, 5, false, 0xf6d7a1c3605a94f4ULL},
+    {kChordalRing64, kRand, 3, 25, false, 0x9b2812915c7f2558ULL},
+    {kChordalRing64, kPref, 0, 5, false, 0xd77dce46756a762fULL},
+    {kChordalRing64, kPref, 0, 25, false, 0xc7dca06e8414c246ULL},
+    {kChordalRing64, kPref, 3, 5, false, 0xd8d456f452e3ec6ULL},
+    {kChordalRing64, kPref, 3, 25, false, 0x6a04b1187f84989cULL},
+    {kChordalRing64, kRepair, 0, 5, false, 0x96e10b9ce34e9c6aULL},
+    {kChordalRing64, kRepair, 0, 25, false, 0x6b68982d17de8c68ULL},
+    {kChordalRing64, kRepair, 3, 5, false, 0x75e16a08aa064c56ULL},
+    {kChordalRing64, kRepair, 3, 25, false, 0x4115a51b8daa1acbULL},
+    {kRingOfCliques8x4, kRand, 0, 5, false, 0xad5c110f593c004fULL},
+    {kRingOfCliques8x4, kRand, 0, 25, false, 0x7a56fdff876a47dULL},
+    {kRingOfCliques8x4, kRand, 3, 5, false, 0x46f17f2d491ce7ULL},
+    {kRingOfCliques8x4, kRand, 3, 25, false, 0xb153e12200e1429ULL},
+    {kRingOfCliques8x4, kPref, 0, 5, false, 0x817b41e7c2e60655ULL},
+    {kRingOfCliques8x4, kPref, 0, 25, false, 0xd73e5cff6e97e516ULL},
+    {kRingOfCliques8x4, kPref, 3, 5, false, 0x879d387cd8cef47aULL},
+    {kRingOfCliques8x4, kPref, 3, 25, false, 0xcc221992f803882fULL},
+    {kRingOfCliques8x4, kRepair, 0, 5, false, 0x3108a3d26ec6cd8bULL},
+    {kRingOfCliques8x4, kRepair, 0, 25, false, 0x3c49b82e892307dcULL},
+    {kRingOfCliques8x4, kRepair, 3, 5, false, 0xb8bf13db97c8a9d0ULL},
+    {kRingOfCliques8x4, kRepair, 3, 25, false, 0xeddc8a78c525a801ULL},
+    {kRandom32, kRand, 0, 5, false, 0x3ee65e8b25388639ULL},
+    {kRandom32, kRand, 0, 25, false, 0xfec852637794f837ULL},
+    {kRandom32, kRand, 3, 5, false, 0x61e3ffc9ccbeb6d0ULL},
+    {kRandom32, kRand, 3, 25, false, 0xa8d7c9a7111b089bULL},
+    {kRandom32, kPref, 0, 5, false, 0x35eaa68db6445227ULL},
+    {kRandom32, kPref, 0, 25, false, 0x7fee29e44df97281ULL},
+    {kRandom32, kPref, 3, 5, false, 0x3022f4280cf74936ULL},
+    {kRandom32, kPref, 3, 25, false, 0x99821059253a0b35ULL},
+    {kRandom32, kRepair, 0, 5, false, 0xaa99fd082987af39ULL},
+    {kRandom32, kRepair, 0, 25, false, 0x54b3b5e48c93446bULL},
+    {kRandom32, kRepair, 3, 5, false, 0xa9acff550fcde707ULL},
+    {kRandom32, kRepair, 3, 25, false, 0x1ec7cd3d08fd10fULL},
+    {kHypercube4, kRand, 3, 25, true, 0x6e6cbf55df3e690bULL},
+};
+
+class GoldenScheduleDigest : public ::testing::TestWithParam<GoldenSchedule> {};
+
+TEST_P(GoldenScheduleDigest, MatchesFullGraphCheckDecisions) {
+  const GoldenSchedule& row = GetParam();
+  const relay::Topology topo = row.family.make();
+  auto policy = churn_policy(row.churn_pct / 100.0, row.join_batch,
+                             row.reconnect);
+  if (row.pinned) {
+    policy.pinned.assign(topo.n(), false);
+    for (NodeId v = 0; v < topo.n(); v += 2) policy.pinned[v] = true;
+  }
+  const auto schedule =
+      relay::TopologySchedule::generate(topo, policy, kGoldenEpochs, kGoldenSeed);
+  EXPECT_TRUE(schedule.dynamic());
+  EXPECT_EQ(schedule.digest(), row.digest)
+      << "0x" << std::hex << schedule.digest();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, GoldenScheduleDigest, ::testing::ValuesIn(kGoldenSchedules),
+    [](const ::testing::TestParamInfo<GoldenSchedule>& info) {
+      return golden_name(info.param);
+    });
+
+TEST(Schedule, DisconnectedInitialTopologyIsRefused) {
+  // Two 4-cycles with no edge between them: every removal check would
+  // fail, so generation refuses the graph up front instead of returning a
+  // schedule that reverts every rewire and leave.
+  relay::Topology split(8);
+  for (NodeId v = 0; v < 4; ++v) {
+    split.add_edge(v, (v + 1) % 4);
+    split.add_edge(4 + v, 4 + (v + 1) % 4);
+  }
+  try {
+    (void)relay::TopologySchedule::generate(split, churn_policy(0.25, 1), 4, 3);
+    ADD_FAILURE() << "disconnected initial topology accepted";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("connected initial topology"),
+              std::string::npos)
+        << e.what();
+  }
+  // An inert policy never churns, so the static schedule needs no check.
+  EXPECT_FALSE(relay::TopologySchedule::generate(split, churn_policy(0.0, 0), 4, 3)
+                   .dynamic());
+}
+
 TEST(Schedule, StaticScheduleIsDegenerate) {
   const auto topo = relay::Topology::ring(8);
   const auto schedule = relay::TopologySchedule::static_schedule(topo);
