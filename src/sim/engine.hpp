@@ -68,6 +68,12 @@ class Engine {
     return processed_;
   }
 
+  /// Callbacks ever scheduled on the queue (timers and aggregate deliveries
+  /// count once each, fired or not).
+  [[nodiscard]] std::uint64_t events_scheduled() const noexcept {
+    return queue_.scheduled_count();
+  }
+
   /// Credit `k` extra logical events to the processed counter. Aggregate
   /// events (one scheduled callback expanding to k identical deliveries)
   /// call this with k-1 so events_processed() reports the same logical

@@ -61,18 +61,29 @@ void Network::flag(const std::string& what) {
   CS_WARN << "model violation recorded: " << what;
 }
 
+bool Network::unknown_honest(const crypto::Signature& sig) const {
+  return sig.signer != kInvalidNode && !faulty_.at(sig.signer) &&
+         !knowledge_.knows(sig);
+}
+
+bool Network::adversary_may_send(NodeId from, const Message& m) const {
+  if (!faulty_.at(from) || !m.carries_signature()) return true;
+  if (unknown_honest(m.sig)) return false;
+  return std::none_of(m.sigs.begin(), m.sigs.end(),
+                      [&](const crypto::Signature& s) {
+                        return unknown_honest(s);
+                      });
+}
+
 void Network::check_adversary_knowledge(NodeId from, const Message& m) {
-  if (!faulty_.at(from) || !m.carries_signature()) return;
+  if (adversary_may_send(from, m)) return;
   auto check_one = [&](const crypto::Signature& sig) {
-    if (sig.signer == kInvalidNode) return;
-    if (faulty_.at(sig.signer)) return;  // own/colluding keys are always known
-    if (!knowledge_.knows(sig)) {
-      std::ostringstream oss;
-      oss << "faulty node " << from << " sent signature of honest node "
-          << sig.signer << " (payload " << sig.payload_hash
-          << ") before receiving it";
-      flag(oss.str());
-    }
+    if (!unknown_honest(sig)) return;
+    std::ostringstream oss;
+    oss << "faulty node " << from << " sent signature of honest node "
+        << sig.signer << " (payload " << sig.payload_hash
+        << ") before receiving it";
+    flag(oss.str());
   };
   check_one(m.sig);
   for (const auto& s : m.sigs) check_one(s);
@@ -129,15 +140,16 @@ void Network::send(NodeId from, NodeId to, Message m) {
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
-  if (!batch_ || faulty_.at(from)) {
-    // Reference path: per-receiver sends. Faulty senders stay here even
-    // with batching on, because check_adversary_knowledge records one
-    // violation per receiver.
+  CS_CHECK_MSG(from < model_.n, "sender " << from << " out of range");
+  // The knowledge check never reads the receiver, and no delivery runs
+  // inside this call, so one evaluation answers for every receiver. Only a
+  // failing check takes the per-receiver path, where each send records its
+  // own violation (kRecord) or the first one throws before any enqueue.
+  if (!batch_ || !adversary_may_send(from, m)) {
     for (NodeId to = 0; to < model_.n; ++to)
       if (to != from) send(from, to, m);
     return;
   }
-  CS_CHECK_MSG(from < model_.n, "sender " << from << " out of range");
 
   // One shared payload for the whole broadcast; receivers only read it.
   Message stamped = m;
@@ -159,10 +171,12 @@ void Network::broadcast(NodeId from, const Message& m) {
     engine_.at(engine_.now() + run_delay,
                [this, a = run_begin, b = run_end, k = run_count, ref] {
                  engine_.credit_events(k - 1);
-                 const NodeId skip = ref->sender;
+                 // The captured Ref pins the slot, and the slab's deque
+                 // keeps its address while deliveries grow the arena.
+                 const Message& msg = *ref;
                  for (NodeId to = a; to <= b; ++to) {
-                   if (to == skip) continue;
-                   deliver_one(to, *ref);
+                   if (to == msg.sender) continue;
+                   deliver_one(to, msg);
                  }
                });
   };

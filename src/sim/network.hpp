@@ -161,12 +161,15 @@ class Network {
   void send(NodeId from, NodeId to, Message m);
 
   /// Send `m` to every node except `from`. With batching enabled (the
-  /// default) an honest sender's broadcast shares one arena payload and
-  /// schedules one aggregate event per maximal run of consecutive receivers
-  /// with equal delay — O(runs) events instead of O(n) — while remaining
+  /// default) the broadcast shares one arena payload and schedules one
+  /// aggregate event per maximal run of consecutive receivers with equal
+  /// delay — O(runs) events instead of O(n) — while remaining
   /// delivery-order- and stats-identical to the per-receiver loop. Faulty
-  /// senders always take the per-receiver path (their Dolev–Yao knowledge
-  /// check records per receiver).
+  /// senders batch too: the Dolev–Yao check never reads the receiver and
+  /// nothing is delivered during the call, so it is evaluated once. The
+  /// per-receiver reference path runs only with batching off or when that
+  /// check fails, so a violation is recorded once per receiver (kRecord) or
+  /// thrown before anything is enqueued (kThrow).
   void broadcast(NodeId from, const Message& m);
 
   /// Byzantine send with an explicit delay; must lie within the faulty-link
@@ -194,6 +197,14 @@ class Network {
   [[nodiscard]] double min_delay(NodeId from, NodeId to) const;
 
  private:
+  /// True for an honest node's signature that no faulty node has received
+  /// yet: the Dolev–Yao rule forbids the adversary to send it (its own and
+  /// colluding keys are always known).
+  [[nodiscard]] bool unknown_honest(const crypto::Signature& sig) const;
+  /// True when the adversary may send every honest signature in `m`; always
+  /// true for an honest sender. Independent of the receiver.
+  [[nodiscard]] bool adversary_may_send(NodeId from, const Message& m) const;
+  /// Flags (per Enforcement) each signature adversary_may_send rejects.
   void check_adversary_knowledge(NodeId from, const Message& m);
   void enqueue(NodeId from, NodeId to, Message m, double delay);
   /// Stats/knowledge/delivery for one receiver — shared by the per-message

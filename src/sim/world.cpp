@@ -121,8 +121,8 @@ class World::ByzantineRunner final : public AdversaryEnv {
   }
 
   void broadcast(const Message& m) override {
-    // Faulty senders always take the network's per-receiver path (their
-    // Dolev–Yao knowledge check is per receiver).
+    // Batched like an honest broadcast once the network's Dolev–Yao check
+    // passes; a failing check falls back to per-receiver sends.
     core_.network->broadcast(core_.id, m);
   }
 
@@ -278,9 +278,10 @@ RunResult World::run() {
   start();
   engine_->run_until(config_.horizon);
 
-  RunResult result{*trace_, 0, 0, 0, 0, 0, {}};
+  RunResult result{*trace_, 0, 0, 0, 0, 0, {}, 0};
   result.messages = network_->stats().messages;
   result.events = engine_->events_processed();
+  result.queue_events = engine_->events_scheduled();
   result.sign_ops = pki_->sign_count();
   result.verify_ops = pki_->verify_count();
   result.signatures_carried = network_->stats().signatures_carried;

@@ -60,6 +60,10 @@ struct RunResult {
   std::uint64_t verify_ops = 0;
   std::uint64_t signatures_carried = 0;
   std::vector<std::string> violations;
+  /// Callbacks the event queue scheduled. Differs across the batch toggle
+  /// (one aggregate event stands for a run of receivers), so it stays out
+  /// of the CSV; `events` is the toggle-invariant logical count.
+  std::uint64_t queue_events = 0;
 };
 
 /// Factory types: World owns the produced nodes.

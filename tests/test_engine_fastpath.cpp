@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/factories.hpp"
 #include "core/adversaries.hpp"
+#include "crypto/signature.hpp"
 #include "relay/flood_world.hpp"
 #include "relay/topology.hpp"
 #include "runner/export.hpp"
@@ -19,6 +21,7 @@
 #include "runner/scenario.hpp"
 #include "sim/network.hpp"
 #include "sim/world.hpp"
+#include "util/check.hpp"
 
 namespace crusader {
 namespace {
@@ -48,7 +51,9 @@ SweepGrid differential_grid() {
   grid.delays = {sim::DelayKind::kMax, sim::DelayKind::kRandom,
                  sim::DelayKind::kSplit};
   grid.topologies = {TopologyKind::kHypercube};
-  grid.strategies = {core::ByzStrategy::kSplit};
+  // Every strategy: each one that broadcasts from a faulty node takes the
+  // batched path once its Dolev–Yao check passes.
+  grid.strategies = core::all_byz_strategies();
   grid.relay_faults = {relay::RelayFaultKind::kCrash,
                        relay::RelayFaultKind::kMaxDelay};
   grid.cryptos = {CryptoMode::kReal, CryptoMode::kAbstract};
@@ -172,15 +177,16 @@ void expect_runs_identical(const sim::RunResult& a, const sim::RunResult& b) {
   EXPECT_EQ(a.sign_ops, b.sign_ops);
   EXPECT_EQ(a.verify_ops, b.verify_ops);
   EXPECT_EQ(a.signatures_carried, b.signatures_carried);
-  EXPECT_EQ(a.violations.size(), b.violations.size());
+  EXPECT_EQ(a.violations, b.violations);
 }
 
 /// One complete-world run with everything pinned except the knob under test.
 sim::RunResult run_complete(baselines::ProtocolKind protocol,
                             crypto::Pki::Kind pki, bool batch,
-                            std::uint32_t f) {
+                            std::uint32_t f, std::uint32_t n = 5,
+                            sim::DelayKind delay = sim::DelayKind::kRandom) {
   sim::ModelParams model;
-  model.n = 5;
+  model.n = n;
   model.f = f;
   model.d = 1.0;
   model.u = 0.05;
@@ -197,6 +203,7 @@ sim::RunResult run_complete(baselines::ProtocolKind protocol,
   config.horizon = setup.initial_offset + 8.0 * setup.round_length;
   config.pki_kind = pki;
   config.batch = batch;
+  config.delay_kind = delay;
   config.faulty = sim::default_faulty_set(f);
 
   sim::ByzantineFactory byz;
@@ -219,6 +226,26 @@ TEST(FastPathDifferential, CompleteWorldIdenticalAcrossBatchToggle) {
       expect_runs_identical(fast, slow);
     }
   }
+}
+
+TEST(FastPathDifferential, FaultyBroadcastsCoalesceAtMaxFaultLoad) {
+  // n=32 with f=15 split-strategy Byzantine nodes echoing every dealer
+  // signature: faulty broadcasts now batch too, so the queue schedules a
+  // small fraction of the logical events while every observable (trace,
+  // counters, violations) matches the per-receiver reference path.
+  const auto fast =
+      run_complete(baselines::ProtocolKind::kCps, crypto::Pki::Kind::kSymbolic,
+                   /*batch=*/true, 15, 32, sim::DelayKind::kSplit);
+  const auto slow =
+      run_complete(baselines::ProtocolKind::kCps, crypto::Pki::Kind::kSymbolic,
+                   /*batch=*/false, 15, 32, sim::DelayKind::kSplit);
+  expect_runs_identical(fast, slow);
+  EXPECT_GT(fast.events, 0u);
+  EXPECT_LE(static_cast<double>(fast.queue_events),
+            0.25 * static_cast<double>(fast.events));
+  // The reference path schedules about one queue event per logical event.
+  EXPECT_GE(static_cast<double>(slow.queue_events),
+            0.9 * static_cast<double>(slow.events));
 }
 
 TEST(FastPathDifferential, CompleteWorldIdenticalAbstractVsRealCrypto) {
@@ -310,31 +337,35 @@ struct NetFixture {
   std::vector<NodeId> order;
   std::unique_ptr<sim::Network> net;
 
-  NetFixture(sim::DelayKind kind, bool batch) {
+  NetFixture(sim::DelayKind kind, bool batch,
+             std::vector<bool> faulty = std::vector<bool>(6, false),
+             sim::Enforcement enforcement = sim::Enforcement::kThrow) {
     sim::ModelParams m;
     m.n = 6;
-    m.f = 0;
+    m.f = 2;
     m.d = 1.0;
     m.u = 0.2;
-    m.u_tilde = 0.2;
+    m.u_tilde = 0.3;
     m.vartheta = 1.01;
     net = std::make_unique<sim::Network>(
-        engine, m, std::vector<bool>(6, false),
-        sim::make_delay_policy(kind, 6), util::Rng(7),
-        sim::Enforcement::kThrow);
+        engine, m, std::move(faulty), sim::make_delay_policy(kind, 6),
+        util::Rng(7), enforcement);
     net->set_batch(batch);
     net->set_deliver(
         [this](NodeId to, const sim::Message&) { order.push_back(to); });
   }
 };
 
+constexpr sim::DelayKind kAllDelayKinds[] = {
+    sim::DelayKind::kMax, sim::DelayKind::kMin, sim::DelayKind::kRandom,
+    sim::DelayKind::kSplit};
+
 TEST(FastPathDifferential, BatchedBroadcastPreservesDeliveryOrder) {
   // Two broadcasts scheduled back-to-back: the batched path must deliver in
   // the exact per-receiver order of the reference path — within a run by
   // receiver order, across equal-time runs by scheduling order (the queue's
   // FIFO tie-break).
-  for (const auto kind : {sim::DelayKind::kMax, sim::DelayKind::kMin,
-                          sim::DelayKind::kRandom, sim::DelayKind::kSplit}) {
+  for (const auto kind : kAllDelayKinds) {
     NetFixture fast(kind, /*batch=*/true);
     NetFixture slow(kind, /*batch=*/false);
     for (auto* fx : {&fast, &slow}) {
@@ -365,6 +396,103 @@ TEST(FastPathDifferential, BatchedBroadcastSharesOneArenaPayload) {
   // All payloads released after delivery; slots stand by for reuse.
   EXPECT_EQ(fast.net->arena().live(), 0u);
   EXPECT_EQ(slow.net->arena().live(), 0u);
+}
+
+// --- Faulty senders on the batched path ----------------------------------
+
+constexpr NodeId kFaultySender = 4;
+
+/// Nodes 4 and 5 are faulty; node 4 broadcasts.
+std::vector<bool> two_faulty() {
+  return {false, false, false, false, true, true};
+}
+
+/// A signed message from the faulty sender carrying two honest signatures
+/// (nodes 0 and 1) and one colluding signature (node 5).
+sim::Message echo_of_honest(crypto::Pki& pki) {
+  sim::Message m;
+  m.kind = sim::MsgKind::kTcbSig;
+  m.sig = pki.sign(0, crypto::make_pulse_payload(1));
+  m.sigs = {pki.sign(1, crypto::make_pulse_payload(1)),
+            pki.sign(5, crypto::make_pulse_payload(1))};
+  return m;
+}
+
+TEST(FastPathDifferential, FaultyBroadcastOfKnownSignaturesIsBatched) {
+  crypto::Pki pki(6, crypto::Pki::Kind::kSymbolic, 1);
+  const sim::Message m = echo_of_honest(pki);
+  for (const auto kind : kAllDelayKinds) {
+    NetFixture fast(kind, /*batch=*/true, two_faulty());
+    NetFixture slow(kind, /*batch=*/false, two_faulty());
+    for (auto* fx : {&fast, &slow}) {
+      // The adversary already holds both honest signatures.
+      fx->net->knowledge().learn(m.sig);
+      fx->net->knowledge().learn(m.sigs[0]);
+      fx->net->broadcast(kFaultySender, m);
+      fx->net->broadcast(0, sim::Message{});
+    }
+    // One payload per broadcast on the batched path, one per receiver on
+    // the reference path.
+    EXPECT_EQ(fast.net->arena().acquired(), 2u) << sim::to_string(kind);
+    EXPECT_EQ(slow.net->arena().acquired(), 10u) << sim::to_string(kind);
+    for (auto* fx : {&fast, &slow}) fx->engine.run_until(2.0);
+
+    EXPECT_EQ(fast.order, slow.order) << sim::to_string(kind);
+    EXPECT_EQ(fast.engine.events_processed(), slow.engine.events_processed())
+        << sim::to_string(kind);
+    EXPECT_EQ(fast.net->stats().messages, slow.net->stats().messages);
+    EXPECT_EQ(fast.net->stats().by_kind, slow.net->stats().by_kind);
+    EXPECT_EQ(fast.net->stats().signatures_carried,
+              slow.net->stats().signatures_carried);
+    // Delivery to faulty node 5 taught the adversary the colluding
+    // signature on both paths alike.
+    EXPECT_EQ(fast.net->knowledge().size(), 3u) << sim::to_string(kind);
+    EXPECT_EQ(fast.net->knowledge().size(), slow.net->knowledge().size());
+    EXPECT_TRUE(fast.net->violations().empty());
+    EXPECT_EQ(fast.net->arena().live(), 0u);
+  }
+}
+
+TEST(FastPathDifferential, FaultyBroadcastOfUnknownSignatureRecordsPerReceiver) {
+  crypto::Pki pki(6, crypto::Pki::Kind::kSymbolic, 1);
+  const sim::Message m = echo_of_honest(pki);
+  NetFixture fast(sim::DelayKind::kSplit, /*batch=*/true, two_faulty(),
+                  sim::Enforcement::kRecord);
+  NetFixture slow(sim::DelayKind::kSplit, /*batch=*/false, two_faulty(),
+                  sim::Enforcement::kRecord);
+  for (auto* fx : {&fast, &slow}) {
+    // Node 1's signature is known, node 0's is not: every one of the five
+    // sends records exactly one violation.
+    fx->net->knowledge().learn(m.sigs[0]);
+    fx->net->broadcast(kFaultySender, m);
+    fx->engine.run_until(2.0);
+  }
+  ASSERT_EQ(fast.net->violations().size(), 5u);
+  EXPECT_EQ(fast.net->violations(), slow.net->violations());
+  EXPECT_NE(fast.net->violations()[0].find("honest node 0"),
+            std::string::npos);
+  // Recorded, still delivered, identically.
+  EXPECT_EQ(fast.order, slow.order);
+  EXPECT_EQ(fast.order.size(), 5u);
+  EXPECT_EQ(fast.engine.events_processed(), slow.engine.events_processed());
+  EXPECT_EQ(fast.net->stats().messages, slow.net->stats().messages);
+}
+
+TEST(FastPathDifferential, FaultyBroadcastOfUnknownSignatureThrowsFirst) {
+  crypto::Pki pki(6, crypto::Pki::Kind::kSymbolic, 1);
+  const sim::Message m = echo_of_honest(pki);
+  for (const bool batch : {true, false}) {
+    NetFixture fx(sim::DelayKind::kMax, batch, two_faulty(),
+                  sim::Enforcement::kThrow);
+    EXPECT_THROW(fx.net->broadcast(kFaultySender, m), util::ModelViolation)
+        << "batch=" << batch;
+    // Thrown before anything was enqueued or counted.
+    EXPECT_EQ(fx.engine.events_scheduled(), 0u) << "batch=" << batch;
+    EXPECT_FALSE(fx.engine.step()) << "batch=" << batch;
+    EXPECT_EQ(fx.net->arena().live(), 0u) << "batch=" << batch;
+    EXPECT_EQ(fx.net->stats().messages, 0u) << "batch=" << batch;
+    EXPECT_TRUE(fx.order.empty());
+  }
 }
 
 }  // namespace

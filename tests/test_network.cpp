@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <gtest/gtest.h>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -95,6 +96,26 @@ TEST(Network, SelfSendRejected) {
   Fixture fx;
   auto net = fx.make(DelayKind::kMax);
   EXPECT_THROW(net->send(1, 1, Message{}), util::CheckFailure);
+}
+
+TEST(Network, BroadcastRejectsOutOfRangeSender) {
+  // The named range check fires first on both paths, not a bare
+  // std::out_of_range from the faulty-set lookup.
+  for (const bool batch : {true, false}) {
+    Fixture fx;
+    auto net = fx.make(DelayKind::kMax);
+    net->set_batch(batch);
+    try {
+      net->broadcast(4, Message{});
+      ADD_FAILURE() << "out-of-range sender accepted, batch=" << batch;
+    } catch (const util::CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("sender 4 out of range"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(net->stats().messages, 0u);
+    EXPECT_EQ(net->arena().acquired(), 0u);
+  }
 }
 
 TEST(Network, ByzantineExplicitDelayHonored) {
