@@ -14,13 +14,12 @@
 // end-to-end run_sweep wall clock with the cache on and off.
 //
 // E14 — engine fast-path throughput: one broadcast-heavy complete-world CPS
-// cell measured as events/sec through three configurations (per-receiver
-// reference with real crypto; batched delivery; batched + abstract crypto),
-// then one 2^20-node hypercube flood-probe cell under a wall budget. With
-// --json the E14 numbers are written as a BENCH_*.json artifact; with
-// --history/--gate-trend the dimensionless cost ratio (fast seconds /
-// reference seconds) rides the runner's skew-ratio history machinery so CI
-// can fail when the speedup regresses.
+// cell measured as events/sec through two configurations (per-receiver
+// reference; batched delivery), then one 2^20-node hypercube flood-probe
+// cell under a wall budget. With --json the E14 numbers are written as a
+// BENCH_*.json artifact; with --history/--gate-trend the dimensionless cost
+// ratio (batched seconds / reference seconds) rides the runner's skew-ratio
+// history machinery so CI can fail when the speedup regresses.
 //
 // E15 — dynamic-network overhead: one flood-probe hypercube cell replayed
 // at increasing churn rates (seeded topology schedules), reporting
@@ -92,9 +91,8 @@ TimedRun timed_scenario(const runner::ScenarioSpec& spec,
 struct E14Summary {
   double reference_events_per_sec = 0.0;
   double batched_events_per_sec = 0.0;
-  double fast_events_per_sec = 0.0;  ///< batched + abstract crypto
-  double speedup = 0.0;              ///< fast vs reference
-  double cost_ratio = 1.0;           ///< fast seconds / reference seconds
+  double speedup = 0.0;     ///< batched vs reference
+  double cost_ratio = 1.0;  ///< batched seconds / reference seconds
   double large_n_seconds = 0.0;
   double large_n_events_per_sec = 0.0;
   std::uint64_t large_n_nodes = 0;
@@ -137,7 +135,6 @@ void write_json(const std::string& path, const E14Summary& s,
       << ",\n"
       << "    \"batched_events_per_sec\": " << s.batched_events_per_sec
       << ",\n"
-      << "    \"fast_events_per_sec\": " << s.fast_events_per_sec << ",\n"
       << "    \"speedup\": " << s.speedup << ",\n"
       << "    \"cost_ratio\": " << s.cost_ratio << ",\n"
       << "    \"large_n_nodes\": " << s.large_n_nodes << ",\n"
@@ -363,8 +360,8 @@ int run_bench(const std::optional<std::string>& json_path,
   // E14: engine fast-path throughput. Broadcast-heavy complete-world cell:
   // CPS at n=192, fault-free, split delays — every broadcast coalesces into
   // two aggregate events on the fast path versus 191 per-receiver events on
-  // the reference path, and abstract crypto swaps SHA-256 for the registry
-  // hash. Same seeds, byte-identical results; only wall clock may differ.
+  // the reference path. Same seeds, byte-identical results; only wall clock
+  // may differ.
   runner::SweepGrid fp_grid;
   fp_grid.protocols = {baselines::ProtocolKind::kCps};
   fp_grid.ns = {192};
@@ -381,17 +378,13 @@ int run_bench(const std::optional<std::string>& json_path,
   reference_options.fast_path = false;
   const auto reference = timed_scenario(fp_spec, reference_options);
   const auto batched = timed_scenario(fp_spec, {});
-  auto abstract_spec = fp_spec;
-  abstract_spec.crypto = runner::CryptoMode::kAbstract;
-  const auto fast = timed_scenario(abstract_spec, {});
 
   E14Summary summary;
   summary.reference_events_per_sec = reference.events_per_sec();
   summary.batched_events_per_sec = batched.events_per_sec();
-  summary.fast_events_per_sec = fast.events_per_sec();
-  summary.speedup = fast.events_per_sec() /
+  summary.speedup = batched.events_per_sec() /
                     std::max(reference.events_per_sec(), 1e-9);
-  summary.cost_ratio = fast.seconds / std::max(reference.seconds, 1e-9);
+  summary.cost_ratio = batched.seconds / std::max(reference.seconds, 1e-9);
   summary.grid = runner::grid_digest(fp_specs, 1);
 
   util::Table fp_table(
@@ -409,9 +402,8 @@ int run_bench(const std::optional<std::string>& json_path,
                                        2) +
                           "x"});
   };
-  fp_row("per-receiver reference, real crypto", reference);
-  fp_row("batched delivery, real crypto", batched);
-  fp_row("batched delivery, abstract crypto", fast);
+  fp_row("per-receiver reference", reference);
+  fp_row("batched delivery", batched);
   bench::print(fp_table);
 
   // E15: the dynamic-network world's price tag. The same flood-probe
@@ -564,15 +556,15 @@ int run_bench(const std::optional<std::string>& json_path,
 
   if (json_path) write_json(*json_path, summary, churn_rows, adaptive_rows);
 
-  // Trend gate on the dimensionless cost ratio (fast/reference wall clock):
-  // machine speed cancels out, so a rising ratio means the fast path itself
-  // regressed. Rides the sweep history machinery — same file format, same
-  // baseline/comparability rules (keyed by the E14 grid digest).
+  // Trend gate on the dimensionless cost ratio (batched/reference wall
+  // clock): machine speed cancels out, so a rising ratio means the fast path
+  // itself regressed. Rides the sweep history machinery — same file format,
+  // same baseline/comparability rules (keyed by the E14 grid digest).
   if (history_path) {
     runner::HistoryEntry entry;
     entry.seed = 1;
     entry.grid = summary.grid;
-    entry.cells = 3;
+    entry.cells = 2;
     entry.worlds.push_back({runner::WorldKind::kComplete, summary.cost_ratio,
                             summary.cost_ratio, 1});
     if (gate_trend) {

@@ -2,13 +2,10 @@
 // clocks, crypto, and end-to-end CPS simulation throughput.
 
 #include <benchmark/benchmark.h>
-#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "bench_common.hpp"
-#include "crypto/hmac.hpp"
-#include "crypto/sha256.hpp"
+#include "crypto/signature.hpp"
 #include "sim/engine.hpp"
 #include "sim/hardware_clock.hpp"
 
@@ -51,15 +48,6 @@ void BM_HardwareClockInverse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HardwareClockInverse);
-
-void BM_Sha256(benchmark::State& state) {
-  const std::string msg(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::hash(msg));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024);
 
 void BM_HmacSign(benchmark::State& state) {
   crypto::Pki pki(8, crypto::Pki::Kind::kHmac, 1);

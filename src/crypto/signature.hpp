@@ -3,13 +3,13 @@
 // every node v holds sk_v; signatures are unforgeable and perfectly correct.
 //
 // Two interchangeable schemes:
+//  * SymbolicScheme — a registry of issued signatures; `verify` checks
+//                     membership. Unforgeability comes from the registry,
+//                     not from any hash: the paper's ideal signatures.
+//                     Every simulation runs on it.
 //  * HmacScheme     — tag = HMAC-SHA256(sk_signer, payload bytes); the Pki
 //                     acts as the verification oracle (it knows all keys).
-//                     Computationally real bytes; unforgeable inside the
-//                     simulation: the Dolev–Yao substitution for the
-//                     paper's ideal unforgeable signatures.
-//  * SymbolicScheme — a registry of issued signatures; `verify` checks
-//                     membership. Fast path for large benchmark sweeps.
+//                     The real-MAC reference that tests compare against.
 //
 // The adversary restriction — a faulty node may only emit an honest
 // signature after some faulty node received it — is enforced by
@@ -31,11 +31,14 @@
 namespace crusader::crypto {
 
 /// Canonical description of what gets signed. Protocols build the context
-/// string with `make_payload`; equality of context strings defines equality
-/// of messages for signing purposes.
+/// string with the `make_*_payload` builders; equality of context strings
+/// defines equality of messages for signing purposes.
 struct SignedPayload {
   std::string context;
 
+  /// 64-bit identity of the context bytes (FNV-1a finalized with mix64).
+  /// Not a cryptographic digest: the schemes never rely on it for
+  /// unforgeability, only to bind a signature to its payload.
   [[nodiscard]] std::uint64_t hash() const noexcept;
   friend bool operator==(const SignedPayload&, const SignedPayload&) = default;
 };
@@ -77,37 +80,15 @@ class SignatureScheme {
   /// Verify(pk_signer, sig, payload) per the paper.
   [[nodiscard]] virtual bool verify(const Signature& sig,
                                     const SignedPayload& payload) const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Registry-backed symbolic scheme (fast).
+/// Registry-backed symbolic scheme.
 class SymbolicScheme final : public SignatureScheme {
  public:
   [[nodiscard]] Signature sign(NodeId signer, const SignedPayload& payload,
                                std::uint64_t nonce) override;
   [[nodiscard]] bool verify(const Signature& sig,
                             const SignedPayload& payload) const override;
-  [[nodiscard]] std::string name() const override { return "symbolic"; }
-
- private:
-  std::unordered_set<std::uint64_t> issued_;
-};
-
-/// Abstract-crypto scheme: the large-n fast path. Same registry
-/// unforgeability semantics as SymbolicScheme, but the payload digest is a
-/// cheap scheme-local 64-bit hash of the context instead of SHA-256 — sign
-/// and verify never hash real bytes. Sign/verify op counts are identical to
-/// the symbolic scheme's; only the digest values differ, and those never
-/// leave the crypto layer (Signature::key() is used for set membership,
-/// never ordering).
-class AbstractScheme final : public SignatureScheme {
- public:
-  [[nodiscard]] Signature sign(NodeId signer, const SignedPayload& payload,
-                               std::uint64_t nonce) override;
-  [[nodiscard]] bool verify(const Signature& sig,
-                            const SignedPayload& payload) const override;
-  [[nodiscard]] std::string name() const override { return "abstract"; }
 
  private:
   std::unordered_set<std::uint64_t> issued_;
@@ -123,7 +104,6 @@ class HmacScheme final : public SignatureScheme {
                                std::uint64_t nonce) override;
   [[nodiscard]] bool verify(const Signature& sig,
                             const SignedPayload& payload) const override;
-  [[nodiscard]] std::string name() const override { return "hmac-sha256"; }
 
  private:
   [[nodiscard]] Digest compute_tag(NodeId signer, const SignedPayload& payload,
@@ -136,7 +116,8 @@ class HmacScheme final : public SignatureScheme {
 /// exposes sign/verify, and counts operations for the complexity benches.
 class Pki {
  public:
-  enum class Kind { kSymbolic, kHmac, kAbstract };
+  /// kAbstract is an alias of kSymbolic: both crypto modes run the registry.
+  enum class Kind { kSymbolic, kHmac, kAbstract = kSymbolic };
 
   Pki(std::uint32_t n, Kind kind, std::uint64_t seed);
 
@@ -147,7 +128,6 @@ class Pki {
   [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
   [[nodiscard]] std::uint64_t sign_count() const noexcept { return signs_; }
   [[nodiscard]] std::uint64_t verify_count() const noexcept { return verifies_; }
-  [[nodiscard]] const SignatureScheme& scheme() const noexcept { return *scheme_; }
 
  private:
   std::uint32_t n_;

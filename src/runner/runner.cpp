@@ -106,11 +106,6 @@ relay::Topology build_topology(const ScenarioSpec& spec, std::uint64_t seed) {
   return relay::Topology::complete(spec.n);
 }
 
-crypto::Pki::Kind pki_kind_for(CryptoMode mode) noexcept {
-  return mode == CryptoMode::kAbstract ? crypto::Pki::Kind::kAbstract
-                                       : crypto::Pki::Kind::kSymbolic;
-}
-
 /// PR-2 path: the fully-connected World with Byzantine adversaries.
 void run_complete_world(const ScenarioSpec& spec, const RunnerOptions& options,
                         ScenarioResult& result) {
@@ -140,7 +135,6 @@ void run_complete_world(const ScenarioSpec& spec, const RunnerOptions& options,
   config.delay_kind = spec.delay;
   if (spec.custom_delay) config.custom_delay = spec.custom_delay->factory();
   config.faulty = sim::default_faulty_set(spec.f_actual);
-  config.pki_kind = pki_kind_for(spec.crypto);
   config.batch = options.fast_path;
 
   sim::ByzantineFactory byz;
@@ -201,7 +195,6 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
   // (relay/adversary.hpp).
   config.faulty = sim::default_faulty_set(spec.f_actual);
   config.fault_kind = spec.relay_fault;
-  config.pki_kind = pki_kind_for(spec.crypto);
   config.batch = options.fast_path;
 
   std::shared_ptr<const relay::TopologySchedule> schedule;

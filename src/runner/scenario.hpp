@@ -52,13 +52,12 @@ enum class TopologyKind {
   kRandomConnected
 };
 
-/// Signature-cost model for a scenario.
-///  * kReal — SHA-256-backed payload hashing (the default, PR-2 behaviour:
-///    crypto::Pki::Kind::kSymbolic).
-///  * kAbstract — unforgeability semantics without hashing bytes
-///    (crypto::Pki::Kind::kAbstract): sign/verify are registry operations
-///    over a cheap context hash. Same op counts and protocol behaviour, far
-///    cheaper per message — the large-n sweep mode.
+/// Crypto label of a scenario. Both modes run the same signature registry
+/// (crypto::Pki::Kind::kSymbolic), so results are identical; the label only
+/// folds into spec keys, seeds and the CSV "crypto" column.
+///  * kReal — the default.
+///  * kAbstract — kept so existing grids, digests and CSV files that name
+///    it still parse and reproduce.
 enum class CryptoMode { kReal, kAbstract };
 
 [[nodiscard]] const char* to_string(WorldKind kind);
@@ -173,8 +172,7 @@ struct ScenarioSpec {
   std::size_t warmup = 5;
   /// Slack multiplier forwarded to make_setup's constant solver.
   double slack = 1.0;
-  /// Signature-cost model (real SHA-256 hashing vs abstract registry
-  /// semantics). Behaviour-preserving by construction, so the default stays
+  /// Crypto label (both modes run the same registry). The default stays
   /// kReal and only kAbstract folds into key() — existing digests, seeds,
   /// and history files are untouched.
   CryptoMode crypto = CryptoMode::kReal;

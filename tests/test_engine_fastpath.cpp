@@ -249,16 +249,17 @@ TEST(FastPathDifferential, FaultyBroadcastsCoalesceAtMaxFaultLoad) {
 }
 
 TEST(FastPathDifferential, CompleteWorldIdenticalAbstractVsRealCrypto) {
-  // Same config seed, only the Pki kind varies: the abstract scheme must
-  // reproduce the symbolic scheme's behavior (op counts included) exactly —
-  // it only swaps the hash under the signatures.
+  // Same config seed, only the Pki kind varies: the signature registry that
+  // every simulation runs must reproduce real HMAC-SHA-256 signing exactly
+  // (op counts included) — unforgeability, not the tag bytes, drives the
+  // protocols.
   for (const auto protocol :
        {baselines::ProtocolKind::kCps, baselines::ProtocolKind::kSrikanthToueg,
         baselines::ProtocolKind::kFloodProbe}) {
-    const auto real = run_complete(protocol, crypto::Pki::Kind::kSymbolic,
+    const auto real = run_complete(protocol, crypto::Pki::Kind::kHmac,
                                    /*batch=*/true, 1);
     const auto abstracted = run_complete(
-        protocol, crypto::Pki::Kind::kAbstract, /*batch=*/true, 1);
+        protocol, crypto::Pki::Kind::kSymbolic, /*batch=*/true, 1);
     expect_runs_identical(real, abstracted);
     EXPECT_GT(real.sign_ops, 0u);
     EXPECT_GT(real.verify_ops, 0u);
@@ -320,9 +321,10 @@ TEST(FastPathDifferential, RelayWorldIdenticalAcrossBatchToggle) {
 }
 
 TEST(FastPathDifferential, RelayWorldIdenticalAbstractVsRealCrypto) {
-  const auto real = run_relay(crypto::Pki::Kind::kSymbolic, /*batch=*/true,
+  // The registry against real HMAC-SHA-256 signing, as in the complete world.
+  const auto real = run_relay(crypto::Pki::Kind::kHmac, /*batch=*/true,
                               relay::RelayFaultKind::kCrash, 1);
-  const auto abstracted = run_relay(crypto::Pki::Kind::kAbstract,
+  const auto abstracted = run_relay(crypto::Pki::Kind::kSymbolic,
                                     /*batch=*/true,
                                     relay::RelayFaultKind::kCrash, 1);
   expect_relay_runs_identical(real, abstracted);

@@ -72,13 +72,17 @@ TEST(Regression, CpsPulseTraceGolden) {
   EXPECT_DOUBLE_EQ(again.trace.pulse_time(4, 9), p_4_9);
 }
 
-TEST(Regression, Sha256SelfTest) {
-  // NIST vector already covered in test_sha256; this pins our Signature
-  // payload hashing (which protocol behaviour depends on).
+TEST(Regression, SignedPayloadBytesArePinned) {
+  // Pins the signed context bytes of every payload builder and the payload
+  // digest (FNV-1a + mix64): signatures, knowledge tracking and dedup all
+  // key on them.
   EXPECT_EQ(crypto::make_pulse_payload(1).hash(),
             crypto::make_pulse_payload(1).hash());
+  EXPECT_EQ(crypto::make_pulse_payload(1).hash(), 0x024f26d6758ef8adULL);
   EXPECT_EQ(crypto::make_pulse_payload(7).context, "tcb-pulse|r=7");
   EXPECT_EQ(crypto::make_ready_payload(3).context, "st-ready|r=3");
+  EXPECT_EQ(crypto::make_value_payload(2, 3, -1.25).context,
+            "cb-value|r=2|dealer=3|v=-0x1.4p+0");
 }
 
 TEST(Regression, LargeScaleStress) {

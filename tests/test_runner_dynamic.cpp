@@ -99,10 +99,12 @@ TEST(Schedule, EveryEpochGraphIsLiveConnectedWithIsolatedDownNodes) {
       ASSERT_EQ(down.size(), graph.n());
       // The beacon anchor (node n-1) never leaves.
       EXPECT_FALSE(down[graph.n() - 1]) << "epoch " << e;
-      for (NodeId v = 0; v < graph.n(); ++v)
-        if (down[v])
+      for (NodeId v = 0; v < graph.n(); ++v) {
+        if (down[v]) {
           EXPECT_TRUE(graph.neighbors(v).empty())
               << "down node " << v << " keeps edges at epoch " << e;
+        }
+      }
       expect_live_connected(graph, down);
     }
   }
@@ -467,11 +469,13 @@ TEST(Dynamic, LocalSkewIsBoundedByGlobalSkewRowWise) {
     if (result.rounds_completed == 0) continue;
     EXPECT_TRUE(std::isfinite(result.local_skew)) << spec.name();
     EXPECT_LE(result.local_skew, result.max_skew + 1e-12) << spec.name();
-    if (spec.world == WorldKind::kComplete)
+    if (spec.world == WorldKind::kComplete) {
       EXPECT_EQ(result.local_skew, result.max_skew);
-    if (std::isfinite(result.predicted_skew) && result.predicted_skew > 0.0)
+    }
+    if (std::isfinite(result.predicted_skew) && result.predicted_skew > 0.0) {
       EXPECT_NEAR(result.local_skew_ratio,
                   result.local_skew / result.predicted_skew, 1e-12);
+    }
   }
 }
 
