@@ -45,16 +45,22 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "relay/adversary.hpp"
 #include "relay/flood_world.hpp"
 #include "relay/topology.hpp"
 #include "runner/history.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "sim/world.hpp"
+#include "util/table.hpp"
 
 namespace crusader {
 namespace {
+
+void print(const util::Table& table) {
+  table.print(std::cout);
+  std::cout << '\n';
+}
 
 double seconds_to_run(const std::vector<runner::ScenarioSpec>& specs,
                       unsigned threads) {
@@ -207,7 +213,7 @@ int run_bench(const std::optional<std::string>& json_path,
          s.steady_skew.count() ? util::Table::num(s.steady_skew.max(), 4) : "-",
          s.messages.count() ? util::Table::num(s.messages.mean(), 1) : "-"});
   }
-  bench::print(table);
+  print(table);
 
   // Thread scaling of the runner itself (same grid, same seeds, identical
   // results — only wall clock changes).
@@ -222,7 +228,7 @@ int run_bench(const std::optional<std::string>& json_path,
                      util::Table::num(base / std::max(secs, 1e-9), 2) + "x"});
     if (threads == hw) break;  // avoid duplicate row when hw <= 2
   }
-  bench::print(scaling);
+  print(scaling);
 
   // E12: the relay world's flood overlay under Byzantine relay adversaries.
   runner::SweepGrid relay_grid;
@@ -262,7 +268,7 @@ int run_bench(const std::optional<std::string>& json_path,
          r.rounds_completed ? (r.within_bound ? "yes" : "no") : "-",
          std::to_string(r.messages), util::Table::num(secs, 3)});
   }
-  bench::print(relay_table);
+  print(relay_table);
 
   // E13: the relay analysis memo cache. Cells sharing (topology family, n,
   // f, faulty set) reuse one BFS walk; the relay-fault axis (4 kinds per
@@ -294,8 +300,7 @@ int run_bench(const std::optional<std::string>& json_path,
         spec.topology == runner::TopologyKind::kChordalRing
             ? relay::Topology::chordal_ring(spec.n, 2)
             : relay::Topology::ring_of_cliques(spec.n / 4, 4, 2);
-    config.hop_model = bench::bench_model(spec.n, spec.f, spec.u,
-                                          spec.vartheta, spec.d);
+    config.hop_model = spec.model();
     config.faulty = sim::default_faulty_set(spec.f_actual);
     config.fault_kind = spec.relay_fault;
     return config;
@@ -355,7 +360,7 @@ int run_bench(const std::optional<std::string>& json_path,
       {"run_sweep cache on", util::Table::num(sweep_on, 3),
        util::Table::num(sweep_off / std::max(sweep_on, 1e-9), 2) + "x", "-",
        "-"});
-  bench::print(cache_table);
+  print(cache_table);
 
   // E14: engine fast-path throughput. Broadcast-heavy complete-world cell:
   // CPS at n=192, fault-free, split delays — every broadcast coalesces into
@@ -404,7 +409,7 @@ int run_bench(const std::optional<std::string>& json_path,
   };
   fp_row("per-receiver reference", reference);
   fp_row("batched delivery", batched);
-  bench::print(fp_table);
+  print(fp_table);
 
   // E15: the dynamic-network world's price tag. The same flood-probe
   // hypercube cell at rising churn rates — churn 0 is the static engine
@@ -455,7 +460,7 @@ int run_bench(const std::optional<std::string>& json_path,
            util::Table::num(run.result.max_skew, 4),
            util::Table::num(run.result.local_skew, 4)});
     }
-    bench::print(churn_table);
+    print(churn_table);
   }
 
   // E16: what does observing the traffic buy the adversary? The witness
@@ -514,7 +519,7 @@ int run_bench(const std::optional<std::string>& json_path,
            std::to_string(run.result.attack_best_seed),
            util::Table::num(run.seconds, 3)});
     }
-    bench::print(adaptive_table);
+    print(adaptive_table);
   }
 
   // E14b: one 2^20-node hypercube flood-probe cell (sparse world at the
@@ -550,7 +555,7 @@ int run_bench(const std::optional<std::string>& json_path,
                          util::Table::num(large.seconds, 1),
                          util::Table::num(large.events_per_sec(), 0),
                          large.result.timed_out ? "NO" : "yes"});
-    bench::print(large_table);
+    print(large_table);
     if (large.result.timed_out) return 1;
   }
 

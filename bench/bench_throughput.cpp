@@ -4,8 +4,9 @@
 #include <benchmark/benchmark.h>
 #include <cstdint>
 
-#include "bench_common.hpp"
 #include "crypto/signature.hpp"
+#include "runner/runner.hpp"
+#include "runner/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/hardware_clock.hpp"
 
@@ -71,19 +72,23 @@ void BM_SymbolicSign(benchmark::State& state) {
 }
 BENCHMARK(BM_SymbolicSign);
 
-/// End-to-end: one full CPS world (n nodes, 10 pulse rounds). Items = engine
-/// events processed, so the counter reports simulator events/second.
+/// End-to-end: one full CPS scenario through the runner (n nodes, f at the
+/// signed bound, fault-free, spread clocks, random delays, 10 pulse rounds).
+/// Items = engine events processed, so the counter reports simulator
+/// events/second.
 void BM_CpsWorld(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto model =
-      bench::bench_model(n, sim::ModelParams::max_faults_signed(n));
+  runner::ScenarioSpec spec;
+  spec.n = static_cast<std::uint32_t>(state.range(0));
+  spec.f = sim::ModelParams::max_faults_signed(spec.n);
+  spec.f_actual = 0;
+  spec.clocks = sim::ClockKind::kSpread;
+  spec.delay = sim::DelayKind::kRandom;
+  spec.rounds = 10;
+  runner::RunnerOptions options;
   std::uint64_t events = 0;
-  std::uint64_t seed = 1;
   for (auto _ : state) {
-    const auto result =
-        bench::run_protocol(baselines::ProtocolKind::kCps, model, 0,
-                            core::ByzStrategy::kCrash, ++seed, 10);
-    events += result.events;
+    ++options.base_seed;
+    events += runner::run_scenario(spec, options).events;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }

@@ -36,14 +36,10 @@ RelayAnalysis analyze_worst_hops(const RelayConfig& config) {
     // already ran (removing nodes never shrinks distances), so it needs no
     // extra pass.
     if (!config.faulty.empty()) {
-      std::vector<bool> excluded(n, false);
-      for (const NodeId v : config.faulty) {
-        CS_CHECK(v < n);
-        excluded[v] = true;
-      }
       worst = std::max(worst,
                        config.topology.worst_distance_with_faults(
-                           excluded, config.topology.sampled_source_cap()));
+                           sim::faulty_mask(n, config.faulty, hop.f),
+                           config.topology.sampled_source_cap()));
     }
     // No warning here: the row exports d_eff_exact=0, and a sweep reports
     // its sampled cells in one counted line.
@@ -184,12 +180,10 @@ class RelayWorld::NodeHost final : public sim::Env {
     world_->flood_from(id_, copy);
   }
   sim::TimerId schedule_at_local(double local_time, std::uint64_t tag) override {
-    const auto& clock = world_->clocks_[id_];
-    const double h0 = clock.segments().front().h0;
-    const double t = local_time <= h0 ? 0.0 : clock.real(local_time);
-    return world_->engine_.at(std::max(t, world_->engine_.now()), [this, tag] {
-      if (active_) node_->on_timer(*this, tag);
-    });
+    return world_->engine_.at(world_->clocks_[id_].timer_time(local_time),
+                              [this, tag] {
+                                if (active_) node_->on_timer(*this, tag);
+                              });
   }
   void cancel_timer(sim::TimerId id) override { world_->engine_.cancel(id); }
   void pulse() override {
@@ -220,13 +214,7 @@ RelayWorld::RelayWorld(RelayConfig config, sim::HonestFactory factory,
   effective_ = eff.model;
   worst_hops_ = eff.worst_hops;
   const std::uint32_t n = config_.topology.n();
-  faulty_.assign(n, false);
-  for (NodeId v : config_.faulty) {
-    CS_CHECK(v < n);
-    faulty_[v] = true;
-  }
-  CS_CHECK_MSG(config_.faulty.size() <= config_.hop_model.f,
-               "more faulty nodes than the fault budget");
+  faulty_ = sim::faulty_mask(n, config_.faulty, config_.hop_model.f);
   if (config_.schedule != nullptr && config_.schedule->dynamic()) {
     dynamic_ = true;
     CS_CHECK_MSG(config_.schedule->initial().n() == n,
@@ -269,30 +257,11 @@ RelayWorld::RelayWorld(RelayConfig config, sim::HonestFactory factory,
   }
   trace_ = std::make_unique<sim::PulseTrace>(n, metric_mask);
 
-  // Clocks: reuse the world conventions.
-  const double s0 = config_.initial_offset;
-  const double vt = config_.hop_model.vartheta;
-  for (NodeId v = 0; v < n; ++v) {
-    switch (config_.clock_kind) {
-      case sim::ClockKind::kNominal:
-        clocks_.push_back(sim::HardwareClock::constant(
-            1.0, n > 1 ? s0 * v / (n - 1) : 0.0));
-        break;
-      case sim::ClockKind::kSpread: {
-        const bool fast = (v % 2) == 1;
-        clocks_.push_back(
-            sim::HardwareClock::constant(fast ? vt : 1.0, fast ? s0 : 0.0));
-        break;
-      }
-      default: {
-        util::Rng node_rng = rng_.fork(0xc10c000ULL + v);
-        const double offset = node_rng.uniform(0.0, s0);
-        clocks_.push_back(sim::HardwareClock::random_walk(
-            node_rng, vt, offset, 5.0, config_.horizon + effective_.d));
-        break;
-      }
-    }
-  }
+  // Clocks: the same make_clocks assignment as sim::World, with the random
+  // walk run to horizon + d_eff.
+  clocks_ = sim::make_clocks(config_.clock_kind, n, config_.hop_model.vartheta,
+                             config_.initial_offset, rng_,
+                             config_.horizon + effective_.d);
 
   for (NodeId v = 0; v < n; ++v) {
     if (!adversary_->participates(v)) {
@@ -387,20 +356,28 @@ void RelayWorld::reforward(NodeId from, NodeId to) {
   // A faulty retainer replays through the same adversary policy as a live
   // forward: pruned destinations stay pruned and delays stay overridden —
   // otherwise a rewire would launder an adversarial edge into an honest one.
+  for (const RetainedFlood& r : recent_[from])
+    forward(from, to, r.flood_id, r.hops + 1, r.ref);
+}
+
+void RelayWorld::forward(NodeId from, NodeId to, std::uint64_t flood_id,
+                         std::uint32_t next_hops,
+                         const sim::MessageArena::Ref& ref) {
+  // Faulty relays forward through the adversary policy: neighbor pruning
+  // (selective drop) and delay override (max-delay holds the full d_hop,
+  // reorder pins window extremes) — all still within the model's legal
+  // [d_hop − u_hop, d_hop].
   const bool adversarial = faulty_[from];
+  if (adversarial && !adversary_->forwards(from, to, flood_id)) return;
   const double lo = config_.hop_model.d - config_.hop_model.u;
   const double hi = config_.hop_model.d;
-  for (const RetainedFlood& r : recent_[from]) {
-    if (adversarial && !adversary_->forwards(from, to, r.flood_id)) continue;
-    double delay =
-        hop_policy_->delay(from, to, engine_.now(), *r.ref, lo, hi, rng_);
-    if (adversarial)
-      delay = adversary_->hop_delay(from, to, r.flood_id, delay, lo, hi);
-    ++physical_messages_;
-    engine_.at(engine_.now() + delay,
-               [this, to, flood_id = r.flood_id, next_hops = r.hops + 1,
-                ref = r.ref] { hop_deliver(to, flood_id, next_hops, ref); });
-  }
+  double delay = hop_policy_->delay(from, to, engine_.now(), *ref, lo, hi, rng_);
+  if (adversarial)
+    delay = adversary_->hop_delay(from, to, flood_id, delay, lo, hi);
+  ++physical_messages_;
+  engine_.at(engine_.now() + delay, [this, to, flood_id, next_hops, ref] {
+    hop_deliver(to, flood_id, next_hops, ref);
+  });
 }
 
 void RelayWorld::flood_from(NodeId origin, const sim::Message& m) {
@@ -452,8 +429,7 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
         (inserted || process_local < pending.process_local - 1e-12)) {
       if (!inserted) engine_.cancel(pending.event);
       pending.process_local = process_local;
-      const double t =
-          std::max(clocks_[at].real(process_local), engine_.now());
+      const double t = clocks_[at].timer_time(process_local);
       pending.event = engine_.at(t, [this, at, flood_id, ref]() {
         if (hosts_[at] == nullptr) return;  // left before the hold expired
         auto& h = *hosts_[at];
@@ -465,10 +441,7 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
     }
   }
 
-  // Forward once per flood id. Faulty relays forward through the adversary
-  // policy: neighbor pruning (selective drop) and delay override (max-delay
-  // holds the full d_hop, reorder pins window extremes) — all still within
-  // the model's legal [d_hop − u_hop, d_hop].
+  // Forward once per flood id.
   if (!host.first_sight(flood_id)) return;
   if (dynamic_ && !config_.neighbor_cast) {
     // Record at forward time: whatever this node pushes to its current
@@ -477,78 +450,52 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
     // carries the next round, so nothing is retained or replayed.
     recent_[at].push_back(RetainedFlood{flood_id, hops, ref, engine_.now()});
   }
-  const bool adversarial = faulty_[at];
   const auto& nbrs = config_.topology.neighbors(at);
-  const double lo = config_.hop_model.d - config_.hop_model.u;
-  const double hi = config_.hop_model.d;
 
-  if (!config_.batch || adversarial) {
+  if (!config_.batch || faulty_[at]) {
     // Reference path (and always the path for faulty relays: their forward
     // pruning and per-copy delay overrides are per neighbor).
-    for (const NodeId next : nbrs) {
-      if (adversarial && !adversary_->forwards(at, next, flood_id)) continue;
-      double delay = hop_policy_->delay(at, next, engine_.now(), m, lo, hi, rng_);
-      if (adversarial)
-        delay = adversary_->hop_delay(at, next, flood_id, delay, lo, hi);
-      ++physical_messages_;
-      engine_.at(engine_.now() + delay, [this, next, flood_id, hops, ref]() {
-        hop_deliver(next, flood_id, hops + 1, ref);
-      });
-    }
+    for (const NodeId next : nbrs) forward(at, next, flood_id, hops + 1, ref);
     return;
   }
 
-  // Fast path: group maximal runs of consecutive neighbors with
-  // exactly-equal delay into one aggregate event each. Policy calls happen
-  // per neighbor in neighbor order (identical RNG stream to the reference
-  // path); equal-time ordering is preserved because within a run neighbors
-  // expand in list order and runs fire in scheduling order under the
-  // queue's FIFO tie-break. The aggregate credits the engine so
-  // events_processed() stays per-hop.
-  const auto n_nbrs = static_cast<std::uint32_t>(nbrs.size());
-  double run_delay = 0.0;
-  std::uint32_t run_begin = 0;
-  std::uint32_t run_count = 0;
-  auto flush = [&](std::uint32_t run_end) {
-    if (run_count == 0) return;
-    if (dynamic_) {
-      // An epoch delta can rewrite the adjacency list between scheduling
-      // and firing, so the aggregate must capture the neighbor ids, not
-      // indices into a list that may no longer exist.
-      std::vector<NodeId> targets(nbrs.begin() + run_begin,
-                                  nbrs.begin() + run_end + 1);
-      engine_.at(engine_.now() + run_delay,
-                 [this, targets = std::move(targets), flood_id,
-                  next_hops = hops + 1, ref] {
-                   engine_.credit_events(targets.size() - 1);
-                   for (const NodeId next : targets)
-                     hop_deliver(next, flood_id, next_hops, ref);
-                 });
-      return;
-    }
-    engine_.at(engine_.now() + run_delay,
-               [this, at, i0 = run_begin, i1 = run_end, flood_id,
-                next_hops = hops + 1, ref] {
-                 engine_.credit_events(i1 - i0);
-                 const auto& nb = config_.topology.neighbors(at);
-                 for (std::uint32_t i = i0; i <= i1; ++i)
-                   hop_deliver(nb[i], flood_id, next_hops, ref);
-               });
-  };
-  for (std::uint32_t i = 0; i < n_nbrs; ++i) {
-    const double delay =
-        hop_policy_->delay(at, nbrs[i], engine_.now(), m, lo, hi, rng_);
-    ++physical_messages_;
-    if (run_count > 0 && delay == run_delay) {
-      ++run_count;
-    } else {
-      if (run_count > 0) flush(i - 1);
-      run_delay = delay;
-      run_begin = i;
-      run_count = 1;
-    }
-  }
-  if (run_count > 0) flush(n_nbrs - 1);
+  // Fast path: one aggregate event per maximal run of consecutive neighbors
+  // with exactly-equal delay. Policy calls happen per neighbor in neighbor
+  // order (identical RNG stream to the reference path); equal-time ordering
+  // is preserved because within a run neighbors expand in list order and
+  // runs fire in scheduling order under the queue's FIFO tie-break. The
+  // aggregate credits the engine so events_processed() stays per-hop.
+  const double lo = config_.hop_model.d - config_.hop_model.u;
+  const double hi = config_.hop_model.d;
+  sim::for_each_delay_run(
+      static_cast<std::uint32_t>(nbrs.size()), sim::kNoSkip,
+      [&](std::uint32_t i) {
+        ++physical_messages_;
+        return hop_policy_->delay(at, nbrs[i], engine_.now(), m, lo, hi, rng_);
+      },
+      [&](double delay, std::uint32_t i0, std::uint32_t i1, std::uint32_t) {
+        if (dynamic_) {
+          // An epoch delta can rewrite the adjacency list between
+          // scheduling and firing, so the aggregate must capture the
+          // neighbor ids, not indices into a list that may no longer exist.
+          std::vector<NodeId> targets(nbrs.begin() + i0, nbrs.begin() + i1 + 1);
+          engine_.at(engine_.now() + delay,
+                     [this, targets = std::move(targets), flood_id,
+                      next_hops = hops + 1, ref] {
+                       engine_.credit_events(targets.size() - 1);
+                       for (const NodeId next : targets)
+                         hop_deliver(next, flood_id, next_hops, ref);
+                     });
+          return;
+        }
+        engine_.at(engine_.now() + delay,
+                   [this, at, i0, i1, flood_id, next_hops = hops + 1, ref] {
+                     engine_.credit_events(i1 - i0);
+                     const auto& nb = config_.topology.neighbors(at);
+                     for (std::uint32_t i = i0; i <= i1; ++i)
+                       hop_deliver(nb[i], flood_id, next_hops, ref);
+                   });
+      });
 }
 
 RelayRunResult RelayWorld::run() {

@@ -58,6 +58,8 @@ struct RelayConfig {
   std::uint64_t seed = 1;
   double horizon = 200.0;
   double initial_offset = 0.0;
+  /// Built by sim::make_clocks like sim::World's clocks. kCustom is rejected:
+  /// a relay world has no clock vector to copy.
   sim::ClockKind clock_kind = sim::ClockKind::kSpread;
   sim::DelayKind delay_kind = sim::DelayKind::kRandom;
   /// Faulty relay/protocol nodes. How they misbehave is `fault_kind`:
@@ -238,6 +240,11 @@ class RelayWorld {
   void apply_delta(std::size_t epoch);
   /// Replays `from`'s retained floods along a just-added edge to `to`.
   void reforward(NodeId from, NodeId to);
+  /// One hop of a flood from `from` to neighbor `to`, through the adversary
+  /// policy when `from` is faulty: the per-neighbor reference path of
+  /// hop_deliver and every reforward replay.
+  void forward(NodeId from, NodeId to, std::uint64_t flood_id,
+               std::uint32_t next_hops, const sim::MessageArena::Ref& ref);
 
   RelayConfig config_;
   sim::ModelParams effective_;

@@ -3,8 +3,10 @@
 //
 // Protocol logic only ever sees LOCAL time through this interface — exactly
 // the information the paper's model grants a node. The same node code runs
-// under sim::World (real-time engine + hardware clocks) and under the
-// lower-bound co-simulator (lowerbound::TripleExecution).
+// under sim::World (real-time engine + hardware clocks), under
+// relay::RelayWorld (the same engine and clocks, with broadcasts flooded over
+// a sparse topology), and under the lower-bound co-simulator
+// (lowerbound::TripleExecution).
 
 #include <cstdint>
 

@@ -90,6 +90,10 @@ double HardwareClock::real(double h) const {
   return s.t0 + (h - s.h0) / s.rate;
 }
 
+double HardwareClock::timer_time(double local_time) const {
+  return local_time <= segments_.front().h0 ? 0.0 : real(local_time);
+}
+
 double HardwareClock::rate_at(double t) const {
   return segments_[segment_for_real(t)].rate;
 }
@@ -111,6 +115,63 @@ void HardwareClock::check_valid(double vartheta) const {
     CS_CHECK_MSG(s.rate >= 1.0 - 1e-12 && s.rate <= vartheta + 1e-12,
                  "clock rate " << s.rate << " outside [1, " << vartheta << "]");
   }
+}
+
+const char* to_string(ClockKind kind) {
+  switch (kind) {
+    case ClockKind::kNominal: return "nominal";
+    case ClockKind::kSpread: return "spread";
+    case ClockKind::kRandomWalk: return "random-walk";
+    case ClockKind::kCustom: return "custom";
+  }
+  return "?";
+}
+
+std::vector<HardwareClock> make_clocks(ClockKind kind, std::uint32_t n,
+                                       double vartheta, double initial_offset,
+                                       const util::Rng& rng, double walk_end,
+                                       const std::vector<HardwareClock>* custom) {
+  const double s0 = initial_offset;
+  std::vector<HardwareClock> clocks;
+  switch (kind) {
+    case ClockKind::kNominal:
+      clocks.reserve(n);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const double offset = n > 1 ? s0 * v / (n - 1) : 0.0;
+        clocks.push_back(HardwareClock::constant(1.0, offset));
+      }
+      break;
+    case ClockKind::kSpread:
+      clocks.reserve(n);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const bool fast = (v % 2) == 1;
+        clocks.push_back(
+            HardwareClock::constant(fast ? vartheta : 1.0, fast ? s0 : 0.0));
+      }
+      break;
+    case ClockKind::kRandomWalk:
+      clocks.reserve(n);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        util::Rng node_rng = rng.fork(0xc10c000ULL + v);
+        const double offset = node_rng.uniform(0.0, s0);
+        clocks.push_back(HardwareClock::random_walk(
+            node_rng, vartheta, offset, kRandomWalkSegment, walk_end));
+      }
+      break;
+    case ClockKind::kCustom:
+      CS_CHECK_MSG(custom != nullptr,
+                   "ClockKind::kCustom is supported only by sim::World");
+      CS_CHECK_MSG(custom->size() == n, "custom clocks must cover all nodes");
+      clocks = *custom;
+      break;
+  }
+  for (const auto& c : clocks) {
+    c.check_valid(vartheta);
+    CS_CHECK_MSG(c.offset() >= -1e-12 && c.offset() <= s0 + 1e-12,
+                 "clock offset " << c.offset() << " outside [0, S0=" << s0
+                                 << "]");
+  }
+  return clocks;
 }
 
 }  // namespace crusader::sim

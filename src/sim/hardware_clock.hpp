@@ -7,6 +7,7 @@
 // and the lower-bound construction.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -51,6 +52,11 @@ class HardwareClock {
   [[nodiscard]] double max_rate() const;
   [[nodiscard]] double offset() const { return segments_.front().h0; }
 
+  /// Real time at which a timer set for local time `local_time` fires:
+  /// H_v^{-1}(local_time), or 0 when that local time is at or before H_v(0).
+  /// Engine::at clamps a past time to now.
+  [[nodiscard]] double timer_time(double local_time) const;
+
   /// Validates the model constraints: rates in [1, vartheta].
   void check_valid(double vartheta) const;
 
@@ -66,5 +72,29 @@ class HardwareClock {
 
   std::vector<ClockSegment> segments_;
 };
+
+/// Hardware-clock assignment strategies (the adversary's clock choice).
+enum class ClockKind {
+  kNominal,     // all rates 1, offsets spread evenly in [0, S0]
+  kSpread,      // alternating rates 1 / vartheta, extremal offsets — maximum
+                // sustained drift divergence
+  kRandomWalk,  // per-node random rate walk within [1, vartheta]
+  kCustom,      // WorldConfig::custom_clocks; only sim::World supports it
+};
+
+[[nodiscard]] const char* to_string(ClockKind kind);
+
+/// Segment length of ClockKind::kRandomWalk clocks.
+inline constexpr double kRandomWalkSegment = 5.0;
+
+/// The clock assignment every world shares: n clocks of `kind`, checked to
+/// have rates in [1, vartheta] and offsets in [0, initial_offset]. Node v's
+/// random walk draws from rng.fork(0xc10c000 + v) and runs to `walk_end`.
+/// kCustom copies `*custom`, which must hold n clocks; a null `custom` means
+/// the world has no custom clocks, and kCustom is rejected.
+[[nodiscard]] std::vector<HardwareClock> make_clocks(
+    ClockKind kind, std::uint32_t n, double vartheta, double initial_offset,
+    const util::Rng& rng, double walk_end,
+    const std::vector<HardwareClock>* custom = nullptr);
 
 }  // namespace crusader::sim

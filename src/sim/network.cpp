@@ -156,47 +156,32 @@ void Network::broadcast(NodeId from, const Message& m) {
   stamped.sender = from;
   const MessageArena::Ref ref = arena_.acquire(stamped);
 
-  // Group maximal runs of consecutive receivers with exactly-equal delay
-  // into one aggregate event each. Delivery order is identical to the
-  // per-receiver path: within a run receivers fire in id order, and runs at
-  // equal times fire in scheduling (= id) order by the queue's FIFO
-  // tie-break. The aggregate credits the engine so events_processed()
-  // reports per-receiver logical events.
-  double run_delay = 0.0;
-  NodeId run_begin = 0;
-  NodeId run_end = 0;
-  std::uint32_t run_count = 0;
-  auto flush = [&] {
-    if (run_count == 0) return;
-    engine_.at(engine_.now() + run_delay,
-               [this, a = run_begin, b = run_end, k = run_count, ref] {
-                 engine_.credit_events(k - 1);
-                 // The captured Ref pins the slot, and the slab's deque
-                 // keeps its address while deliveries grow the arena.
-                 const Message& msg = *ref;
-                 for (NodeId to = a; to <= b; ++to) {
-                   if (to == msg.sender) continue;
-                   deliver_one(to, msg);
-                 }
-               });
-  };
-  for (NodeId to = 0; to < model_.n; ++to) {
-    if (to == from) continue;
-    count_message(stamped);
-    // Policies see the caller's message, exactly like send() (the sender
-    // stamp happens on the payload copy, after delay selection).
-    const double delay = choose_delay(from, to, m);
-    if (run_count > 0 && delay == run_delay) {
-      run_end = to;
-      ++run_count;
-    } else {
-      flush();
-      run_delay = delay;
-      run_begin = run_end = to;
-      run_count = 1;
-    }
-  }
-  flush();
+  // One aggregate event per maximal run of consecutive receivers with
+  // exactly-equal delay. Delivery order is identical to the per-receiver
+  // path: within a run receivers fire in id order, and runs at equal times
+  // fire in scheduling (= id) order by the queue's FIFO tie-break. The
+  // aggregate credits the engine so events_processed() reports
+  // per-receiver logical events.
+  for_each_delay_run(
+      model_.n, from,
+      [&](NodeId to) {
+        count_message(stamped);
+        // Policies see the caller's message, exactly like send() (the
+        // sender stamp happens on the payload copy, after delay selection).
+        return choose_delay(from, to, m);
+      },
+      [&](double delay, NodeId a, NodeId b, std::uint32_t k) {
+        engine_.at(engine_.now() + delay, [this, a, b, k, ref] {
+          engine_.credit_events(k - 1);
+          // The captured Ref pins the slot, and the slab's deque keeps its
+          // address while deliveries grow the arena.
+          const Message& msg = *ref;
+          for (NodeId to = a; to <= b; ++to) {
+            if (to == msg.sender) continue;
+            deliver_one(to, msg);
+          }
+        });
+      });
 }
 
 void Network::send_with_delay(NodeId from, NodeId to, Message m, double delay) {

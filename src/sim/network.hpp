@@ -134,6 +134,41 @@ enum class DelayKind { kMax, kMin, kRandom, kSplit };
 [[nodiscard]] std::unique_ptr<DelayPolicy> make_delay_policy(DelayKind kind,
                                                              std::uint32_t n);
 
+/// Marks "no index to skip" for for_each_delay_run.
+inline constexpr std::uint32_t kNoSkip = ~std::uint32_t{0};
+
+/// Equal-delay run grouping shared by Network::broadcast and the relay
+/// flood: walks indices 0..count-1 in order, skipping `skip` (kNoSkip for
+/// none), calls `delay_of(i)` once per visited index, and reports each
+/// maximal run of consecutive visited indices with exactly equal delay as
+/// `emit(delay, first, last, size)`. A skipped index never breaks a run, so
+/// [first, last] may contain it; `size` counts the visited indices only.
+/// Runs are emitted in index order, each right after the delay that ends it
+/// is drawn (or after the walk), so delay draws and scheduling interleave
+/// exactly as in a per-index loop that flushes on every delay change.
+template <class DelayOf, class Emit>
+void for_each_delay_run(std::uint32_t count, std::uint32_t skip,
+                        DelayOf&& delay_of, Emit&& emit) {
+  double run_delay = 0.0;
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+  std::uint32_t size = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (i == skip) continue;
+    const double delay = delay_of(i);
+    if (size > 0 && delay == run_delay) {
+      last = i;
+      ++size;
+      continue;
+    }
+    if (size > 0) emit(run_delay, first, last, size);
+    run_delay = delay;
+    first = last = i;
+    size = 1;
+  }
+  if (size > 0) emit(run_delay, first, last, size);
+}
+
 /// How model violations by adversary code are handled.
 enum class Enforcement {
   kThrow,   // throw ModelViolation (tests assert legality of adversaries)

@@ -1,8 +1,6 @@
 #include "sim/world.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -11,151 +9,128 @@
 
 namespace crusader::sim {
 
-const char* to_string(ClockKind kind) {
-  switch (kind) {
-    case ClockKind::kNominal: return "nominal";
-    case ClockKind::kSpread: return "spread";
-    case ClockKind::kRandomWalk: return "random-walk";
-    case ClockKind::kCustom: return "custom";
-  }
-  return "?";
-}
-
 std::vector<NodeId> default_faulty_set(std::uint32_t f) {
   std::vector<NodeId> out(f);
   for (std::uint32_t i = 0; i < f; ++i) out[i] = i;
   return out;
 }
 
-// --- Runners ----------------------------------------------------------------
-
-namespace {
-struct RunnerCore {
-  NodeId id;
-  const ModelParams* model;
-  Engine* engine;
-  Network* network;
-  const HardwareClock* clock;
-  PulseTrace* trace;
-  crypto::Pki* pki;
-
-  [[nodiscard]] double local_now() const { return clock->local(engine->now()); }
-
-  TimerId schedule_local(double local_time, std::function<void()> fn) const {
-    const double h0 = clock->segments().front().h0;
-    const double t = local_time <= h0 ? 0.0 : clock->real(local_time);
-    return engine->at(std::max(t, engine->now()), std::move(fn));
+std::vector<bool> faulty_mask(std::uint32_t n,
+                              const std::vector<NodeId>& faulty,
+                              std::uint32_t f) {
+  std::vector<bool> mask(n, false);
+  for (NodeId v : faulty) {
+    CS_CHECK_MSG(v < n, "faulty id " << v << " out of range");
+    CS_CHECK_MSG(!mask[v], "duplicate faulty id " << v);
+    mask[v] = true;
   }
-};
-}  // namespace
+  CS_CHECK_MSG(faulty.size() <= f,
+               "more faulty nodes than the configured bound f");
+  return mask;
+}
 
-class World::HonestRunner final : public Env {
+// --- Host -------------------------------------------------------------------
+
+/// One node's seat in the world. An honest node sees it as its Env, a
+/// Byzantine node as its AdversaryEnv; exactly one of the two is set. Engine
+/// closures hold its address, so it is neither copied nor moved: World
+/// sizes its host vector once and seats each host in place.
+class World::Host final : public AdversaryEnv {
  public:
-  HonestRunner(RunnerCore core, std::unique_ptr<PulseNode> node)
-      : core_(core), node_(std::move(node)) {}
+  Host() = default;
+  Host(const Host&) = delete;
+  Host& operator=(const Host&) = delete;
+  Host(Host&&) = delete;
+  Host& operator=(Host&&) = delete;
 
-  void start() { node_->on_start(*this); }
-  void deliver(const Message& m) { node_->on_message(*this, m); }
-
-  [[nodiscard]] NodeId id() const override { return core_.id; }
-  [[nodiscard]] const ModelParams& model() const override {
-    return *core_.model;
+  void seat(World& world, NodeId id, std::unique_ptr<PulseNode> honest,
+            std::unique_ptr<ByzantineNode> byzantine) {
+    world_ = &world;
+    id_ = id;
+    honest_ = std::move(honest);
+    byzantine_ = std::move(byzantine);
   }
-  [[nodiscard]] double local_now() const override { return core_.local_now(); }
+
+  void start() {
+    if (honest_) {
+      honest_->on_start(*this);
+    } else {
+      byzantine_->on_start(*this);
+    }
+  }
+  void deliver(const Message& m) {
+    if (honest_) {
+      honest_->on_message(*this, m);
+    } else {
+      byzantine_->on_message(*this, m);
+    }
+  }
+  void fire(std::uint64_t tag) {
+    if (honest_) {
+      honest_->on_timer(*this, tag);
+    } else {
+      byzantine_->on_timer(*this, tag);
+    }
+  }
+
+  [[nodiscard]] NodeId id() const override { return id_; }
+  [[nodiscard]] const ModelParams& model() const override {
+    return world_->config_.model;
+  }
+  [[nodiscard]] double local_now() const override {
+    return world_->clocks_[id_].local(real_now());
+  }
+  [[nodiscard]] double real_now() const override {
+    return world_->engine_->now();
+  }
 
   void send(NodeId to, Message m) override {
-    core_.network->send(core_.id, to, std::move(m));
-  }
-
-  void broadcast(const Message& m) override {
-    core_.network->broadcast(core_.id, m);
-  }
-
-  TimerId schedule_at_local(double local_time, std::uint64_t tag) override {
-    return core_.schedule_local(local_time,
-                                [this, tag] { node_->on_timer(*this, tag); });
-  }
-
-  void cancel_timer(TimerId id) override { core_.engine->cancel(id); }
-
-  void pulse() override {
-    core_.trace->record(core_.id, core_.engine->now(), local_now());
-  }
-
-  [[nodiscard]] crypto::Signature sign(
-      const crypto::SignedPayload& payload) override {
-    return core_.pki->sign(core_.id, payload, 0);
-  }
-
-  [[nodiscard]] bool verify(const crypto::Signature& sig,
-                            const crypto::SignedPayload& payload) const override {
-    return core_.pki->verify(sig, payload);
-  }
-
- private:
-  RunnerCore core_;
-  std::unique_ptr<PulseNode> node_;
-};
-
-class World::ByzantineRunner final : public AdversaryEnv {
- public:
-  ByzantineRunner(RunnerCore core, std::unique_ptr<ByzantineNode> node)
-      : core_(core), node_(std::move(node)) {}
-
-  void start() { node_->on_start(*this); }
-  void deliver(const Message& m) { node_->on_message(*this, m); }
-
-  [[nodiscard]] NodeId id() const override { return core_.id; }
-  [[nodiscard]] const ModelParams& model() const override {
-    return *core_.model;
-  }
-  [[nodiscard]] double local_now() const override { return core_.local_now(); }
-  [[nodiscard]] double real_now() const override { return core_.engine->now(); }
-
-  void send(NodeId to, Message m) override {
-    core_.network->send(core_.id, to, std::move(m));
+    world_->network_->send(id_, to, std::move(m));
   }
 
   void send_with_delay(NodeId to, Message m, double delay) override {
-    core_.network->send_with_delay(core_.id, to, std::move(m), delay);
+    world_->network_->send_with_delay(id_, to, std::move(m), delay);
   }
 
   void broadcast(const Message& m) override {
-    // Batched like an honest broadcast once the network's Dolev–Yao check
-    // passes; a failing check falls back to per-receiver sends.
-    core_.network->broadcast(core_.id, m);
+    // A faulty sender's broadcast is batched too once the network's
+    // Dolev–Yao check passes; a failing check falls back to per-receiver
+    // sends.
+    world_->network_->broadcast(id_, m);
   }
 
   TimerId schedule_at_local(double local_time, std::uint64_t tag) override {
-    return core_.schedule_local(local_time,
-                                [this, tag] { node_->on_timer(*this, tag); });
+    return world_->engine_->at(world_->clocks_[id_].timer_time(local_time),
+                               [this, tag] { fire(tag); });
   }
 
-  void cancel_timer(TimerId id) override { core_.engine->cancel(id); }
+  void cancel_timer(TimerId id) override { world_->engine_->cancel(id); }
 
   void pulse() override {
-    // Recorded for completeness; quality metrics ignore faulty nodes.
-    core_.trace->record(core_.id, core_.engine->now(), local_now());
+    // Faulty nodes' pulses are recorded too; quality metrics ignore them.
+    world_->trace_->record(id_, real_now(), local_now());
   }
 
   [[nodiscard]] crypto::Signature sign(
       const crypto::SignedPayload& payload) override {
-    return core_.pki->sign(core_.id, payload, 0);
+    return world_->pki_->sign(id_, payload, 0);
   }
 
   [[nodiscard]] crypto::Signature sign_nonced(
       const crypto::SignedPayload& payload, std::uint64_t nonce) override {
-    return core_.pki->sign(core_.id, payload, nonce);
+    return world_->pki_->sign(id_, payload, nonce);
   }
 
   [[nodiscard]] bool verify(const crypto::Signature& sig,
                             const crypto::SignedPayload& payload) const override {
-    return core_.pki->verify(sig, payload);
+    return world_->pki_->verify(sig, payload);
   }
 
  private:
-  RunnerCore core_;
-  std::unique_ptr<ByzantineNode> node_;
+  World* world_ = nullptr;
+  NodeId id_ = 0;
+  std::unique_ptr<PulseNode> honest_;
+  std::unique_ptr<ByzantineNode> byzantine_;
 };
 
 // --- World ------------------------------------------------------------------
@@ -165,15 +140,7 @@ World::World(WorldConfig config, HonestFactory honest,
     : config_(std::move(config)), rng_(config_.seed) {
   config_.model.validate();
   const std::uint32_t n = config_.model.n;
-
-  faulty_.assign(n, false);
-  for (NodeId v : config_.faulty) {
-    CS_CHECK_MSG(v < n, "faulty id " << v << " out of range");
-    CS_CHECK_MSG(!faulty_[v], "duplicate faulty id " << v);
-    faulty_[v] = true;
-  }
-  CS_CHECK_MSG(config_.faulty.size() <= config_.model.f,
-               "more faulty nodes than the configured bound f");
+  faulty_ = faulty_mask(n, config_.faulty, config_.model.f);
 
   engine_ = std::make_unique<Engine>();
   pki_ = std::make_unique<crypto::Pki>(n, config_.pki_kind,
@@ -187,83 +154,31 @@ World::World(WorldConfig config, HonestFactory honest,
   network_->set_batch(config_.batch);
   trace_ = std::make_unique<PulseTrace>(n, faulty_);
 
-  build_clocks();
-  build_runners(std::move(honest), std::move(byzantine));
+  clocks_ = make_clocks(config_.clock_kind, n, config_.model.vartheta,
+                        config_.initial_offset, rng_,
+                        config_.horizon + config_.model.d,
+                        &config_.custom_clocks);
+  build_hosts(std::move(honest), std::move(byzantine));
 
-  network_->set_deliver([this](NodeId to, const Message& m) {
-    deliver_table_.at(to)(m);
-  });
+  network_->set_deliver(
+      [this](NodeId to, const Message& m) { hosts_[to].deliver(m); });
 }
 
 World::~World() = default;
 
-void World::build_clocks() {
+void World::build_hosts(HonestFactory honest, ByzantineFactory byzantine) {
   const std::uint32_t n = config_.model.n;
-  const double vt = config_.model.vartheta;
-  const double s0 = config_.initial_offset;
-  clocks_.clear();
-  clocks_.reserve(n);
-
-  switch (config_.clock_kind) {
-    case ClockKind::kNominal:
-      for (NodeId v = 0; v < n; ++v) {
-        const double offset = n > 1 ? s0 * v / (n - 1) : 0.0;
-        clocks_.push_back(HardwareClock::constant(1.0, offset));
-      }
-      break;
-    case ClockKind::kSpread:
-      for (NodeId v = 0; v < n; ++v) {
-        const bool fast = (v % 2) == 1;
-        clocks_.push_back(
-            HardwareClock::constant(fast ? vt : 1.0, fast ? s0 : 0.0));
-      }
-      break;
-    case ClockKind::kRandomWalk:
-      for (NodeId v = 0; v < n; ++v) {
-        util::Rng node_rng = rng_.fork(0xc10c000ULL + v);
-        const double offset = node_rng.uniform(0.0, s0);
-        clocks_.push_back(HardwareClock::random_walk(
-            node_rng, vt, offset, config_.clock_segment,
-            config_.horizon + config_.model.d));
-      }
-      break;
-    case ClockKind::kCustom:
-      CS_CHECK_MSG(config_.custom_clocks.size() == n,
-                   "custom clocks must cover all nodes");
-      clocks_ = config_.custom_clocks;
-      break;
-  }
-  for (const auto& c : clocks_) c.check_valid(vt);
-  for (const auto& c : clocks_) {
-    CS_CHECK_MSG(c.offset() >= -1e-12 && c.offset() <= s0 + 1e-12,
-                 "clock offset " << c.offset() << " outside [0, S0=" << s0
-                                 << "]");
-  }
-}
-
-void World::build_runners(HonestFactory honest, ByzantineFactory byzantine) {
-  const std::uint32_t n = config_.model.n;
-  deliver_table_.resize(n);
-  start_table_.resize(n);
-
+  hosts_ = std::vector<Host>(n);
   for (NodeId v = 0; v < n; ++v) {
-    RunnerCore core{v,          &config_.model, engine_.get(), network_.get(),
-                    &clocks_[v], trace_.get(),  pki_.get()};
     if (faulty_[v]) {
       CS_CHECK_MSG(byzantine, "faulty node configured but no Byzantine factory");
       auto node = byzantine(v);
       CS_CHECK_MSG(node, "Byzantine factory returned null for node " << v);
-      auto runner = std::make_unique<ByzantineRunner>(core, std::move(node));
-      deliver_table_[v] = [r = runner.get()](const Message& m) { r->deliver(m); };
-      start_table_[v] = [r = runner.get()] { r->start(); };
-      byz_runners_.push_back(std::move(runner));
+      hosts_[v].seat(*this, v, nullptr, std::move(node));
     } else {
       auto node = honest(v);
       CS_CHECK_MSG(node, "honest factory returned null for node " << v);
-      auto runner = std::make_unique<HonestRunner>(core, std::move(node));
-      deliver_table_[v] = [r = runner.get()](const Message& m) { r->deliver(m); };
-      start_table_[v] = [r = runner.get()] { r->start(); };
-      honest_runners_.push_back(std::move(runner));
+      hosts_[v].seat(*this, v, std::move(node), nullptr);
     }
   }
 }
@@ -271,7 +186,7 @@ void World::build_runners(HonestFactory honest, ByzantineFactory byzantine) {
 void World::start() {
   if (started_) return;
   started_ = true;
-  for (auto& start : start_table_) engine_->at(0.0, [&start] { start(); });
+  for (Host& host : hosts_) engine_->at(0.0, [&host] { host.start(); });
 }
 
 RunResult World::run() {

@@ -19,17 +19,6 @@
 
 namespace crusader::sim {
 
-/// Hardware-clock assignment strategies (the adversary's clock choice).
-enum class ClockKind {
-  kNominal,     // all rates 1, offsets spread evenly in [0, S0]
-  kSpread,      // alternating rates 1 / vartheta, extremal offsets — maximum
-                // sustained drift divergence
-  kRandomWalk,  // per-node random rate walk within [1, vartheta]
-  kCustom,      // WorldConfig::custom_clocks
-};
-
-[[nodiscard]] const char* to_string(ClockKind kind);
-
 struct WorldConfig {
   ModelParams model;
   std::uint64_t seed = 1;
@@ -39,8 +28,6 @@ struct WorldConfig {
   crypto::Pki::Kind pki_kind = crypto::Pki::Kind::kSymbolic;
   ClockKind clock_kind = ClockKind::kSpread;
   DelayKind delay_kind = DelayKind::kRandom;
-  /// Segment length for ClockKind::kRandomWalk.
-  double clock_segment = 5.0;
   std::vector<NodeId> faulty;
   std::vector<HardwareClock> custom_clocks;  // used when kCustom
   /// Optional custom delay policy factory (overrides delay_kind).
@@ -95,11 +82,9 @@ class World {
   [[nodiscard]] crypto::Pki& pki() noexcept { return *pki_; }
 
  private:
-  class HonestRunner;
-  class ByzantineRunner;
+  class Host;
 
-  void build_clocks();
-  void build_runners(HonestFactory honest, ByzantineFactory byzantine);
+  void build_hosts(HonestFactory honest, ByzantineFactory byzantine);
 
   WorldConfig config_;
   std::vector<bool> faulty_;
@@ -108,11 +93,8 @@ class World {
   std::unique_ptr<Network> network_;
   std::vector<HardwareClock> clocks_;
   std::unique_ptr<PulseTrace> trace_;
-  std::vector<std::unique_ptr<HonestRunner>> honest_runners_;
-  std::vector<std::unique_ptr<ByzantineRunner>> byz_runners_;
-  // Dispatch table: per node, pointer to runner deliver function.
-  std::vector<std::function<void(const Message&)>> deliver_table_;
-  std::vector<std::function<void()>> start_table_;
+  /// One host per node, indexed by id, sized once at construction.
+  std::vector<Host> hosts_;
   bool started_ = false;
   util::Rng rng_;
 };
@@ -120,5 +102,11 @@ class World {
 /// Convenience: mark the first `f` node ids faulty (tests often don't care
 /// which ids are faulty; protocols must not either).
 [[nodiscard]] std::vector<NodeId> default_faulty_set(std::uint32_t f);
+
+/// Membership mask of `faulty` over n nodes. Rejects ids outside [0, n),
+/// duplicate ids, and more than `f` faulty nodes.
+[[nodiscard]] std::vector<bool> faulty_mask(std::uint32_t n,
+                                            const std::vector<NodeId>& faulty,
+                                            std::uint32_t f);
 
 }  // namespace crusader::sim

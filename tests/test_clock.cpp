@@ -1,5 +1,6 @@
 #include "sim/hardware_clock.hpp"
 
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <utility>
 #include <vector>
@@ -111,6 +112,60 @@ TEST(HardwareClock, CheckValidFlagsOutOfRangeRate) {
 TEST(HardwareClock, RealBeforeOffsetRejected) {
   const auto clock = HardwareClock::constant(1.0, 2.0);
   EXPECT_THROW((void)clock.real(1.0), util::CheckFailure);
+}
+
+TEST(HardwareClock, TimerTimeClampsLocalTimesBeforeOffsetToZero) {
+  const auto clock = HardwareClock::constant(2.0, 1.0);
+  EXPECT_DOUBLE_EQ(clock.timer_time(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(clock.timer_time(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(clock.timer_time(5.0), 2.0);
+}
+
+TEST(MakeClocks, EveryKindRespectsModel) {
+  // Rates in [1, ϑ] and offsets in [0, S] (Section 2) for every clock kind
+  // make_clocks synthesizes — the assignment sim::World and RelayWorld share.
+  const std::uint32_t n = 7;
+  const double vartheta = 1.05;
+  const double s0 = 0.3;
+  const util::Rng rng(11);
+  for (const ClockKind kind : {ClockKind::kNominal, ClockKind::kSpread,
+                               ClockKind::kRandomWalk}) {
+    const auto clocks = make_clocks(kind, n, vartheta, s0, rng, 40.0);
+    ASSERT_EQ(clocks.size(), n) << to_string(kind);
+    for (const HardwareClock& clock : clocks) {
+      EXPECT_GE(clock.min_rate(), 1.0) << to_string(kind);
+      EXPECT_LE(clock.max_rate(), vartheta) << to_string(kind);
+      EXPECT_GE(clock.offset(), 0.0) << to_string(kind);
+      EXPECT_LE(clock.offset(), s0) << to_string(kind);
+    }
+  }
+  // The spread assignment realizes both extremes.
+  const auto spread = make_clocks(ClockKind::kSpread, n, vartheta, s0, rng, 40.0);
+  EXPECT_DOUBLE_EQ(spread[0].max_rate(), 1.0);
+  EXPECT_DOUBLE_EQ(spread[1].min_rate(), vartheta);
+  EXPECT_DOUBLE_EQ(spread[1].offset(), s0);
+}
+
+TEST(MakeClocks, CustomNeedsAFullClockVector) {
+  const util::Rng rng(1);
+  std::vector<HardwareClock> custom{HardwareClock::constant(1.0, 0.0),
+                                    HardwareClock::constant(1.02, 0.1)};
+  const auto clocks =
+      make_clocks(ClockKind::kCustom, 2, 1.05, 0.1, rng, 10.0, &custom);
+  EXPECT_DOUBLE_EQ(clocks[1].offset(), 0.1);
+  EXPECT_THROW((void)make_clocks(ClockKind::kCustom, 3, 1.05, 0.1, rng, 10.0,
+                                 &custom),
+               util::CheckFailure);
+  EXPECT_THROW((void)make_clocks(ClockKind::kCustom, 2, 1.05, 0.1, rng, 10.0),
+               util::CheckFailure);
+  // Out-of-model custom clocks are rejected: a rate above ϑ, and an offset
+  // above S.
+  EXPECT_THROW((void)make_clocks(ClockKind::kCustom, 2, 1.01, 0.1, rng, 10.0,
+                                 &custom),
+               util::CheckFailure);
+  EXPECT_THROW((void)make_clocks(ClockKind::kCustom, 2, 1.05, 0.05, rng, 10.0,
+                                 &custom),
+               util::CheckFailure);
 }
 
 }  // namespace

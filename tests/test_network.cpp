@@ -1,6 +1,8 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
@@ -224,6 +226,105 @@ TEST(Network, SenderStamped) {
   fx.engine.run_until(2.0);
   ASSERT_EQ(fx.delivered.size(), 1u);
   EXPECT_EQ(fx.delivered[0].second.sender, 2u);
+}
+
+// --- for_each_delay_run -----------------------------------------------------
+
+struct DelayRun {
+  double delay;
+  std::uint32_t first;
+  std::uint32_t last;
+  std::uint32_t size;
+  bool operator==(const DelayRun&) const = default;
+};
+
+/// Runs for_each_delay_run over `delays` and checks it against the
+/// per-receiver loop: every visited index gets exactly its own delay, in
+/// index order; runs are maximal; each delay is drawn once, in order, and
+/// each run is emitted right after the draw that ends it. Returns the runs.
+std::vector<DelayRun> checked_runs(const std::vector<double>& delays,
+                                   std::uint32_t skip) {
+  const auto count = static_cast<std::uint32_t>(delays.size());
+  std::vector<std::uint32_t> drawn;
+  std::vector<DelayRun> runs;
+  std::vector<std::size_t> drawn_before_emit;
+  for_each_delay_run(
+      count, skip,
+      [&](std::uint32_t i) {
+        drawn.push_back(i);
+        return delays[i];
+      },
+      [&](double delay, std::uint32_t first, std::uint32_t last,
+          std::uint32_t size) {
+        runs.push_back(DelayRun{delay, first, last, size});
+        drawn_before_emit.push_back(drawn.size());
+      });
+
+  // The per-receiver reference: one (index, delay) per visited index.
+  std::vector<std::pair<std::uint32_t, double>> reference;
+  for (std::uint32_t i = 0; i < count; ++i)
+    if (i != skip) reference.emplace_back(i, delays[i]);
+  EXPECT_EQ(drawn.size(), reference.size());
+  for (std::size_t k = 0; k < drawn.size() && k < reference.size(); ++k)
+    EXPECT_EQ(drawn[k], reference[k].first);
+
+  std::vector<std::pair<std::uint32_t, double>> expanded;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const DelayRun& run = runs[r];
+    std::uint32_t visited = 0;
+    for (std::uint32_t i = run.first; i <= run.last; ++i) {
+      if (i == skip) continue;
+      expanded.emplace_back(i, run.delay);
+      ++visited;
+    }
+    EXPECT_EQ(visited, run.size);
+    if (r > 0) {
+      EXPECT_NE(runs[r - 1].delay, run.delay) << "run " << r;
+    }
+    // Emitted after the draw that ended it: all of its own draws plus the
+    // next run's first, or every draw for the last run.
+    const std::size_t visited_through_run = static_cast<std::size_t>(
+        std::count_if(reference.begin(), reference.end(),
+                      [&](const auto& e) { return e.first <= run.last; }));
+    const std::size_t expected_draws =
+        r + 1 < runs.size() ? visited_through_run + 1 : reference.size();
+    EXPECT_EQ(drawn_before_emit[r], expected_draws) << "run " << r;
+  }
+  EXPECT_EQ(expanded, reference);
+  return runs;
+}
+
+TEST(ForEachDelayRun, AllDelaysEqualIsOneRun) {
+  const auto runs = checked_runs({0.5, 0.5, 0.5, 0.5, 0.5}, kNoSkip);
+  EXPECT_EQ(runs, (std::vector<DelayRun>{{0.5, 0, 4, 5}}));
+}
+
+TEST(ForEachDelayRun, AllDelaysDistinctIsOneRunPerIndex) {
+  const auto runs = checked_runs({0.1, 0.2, 0.3, 0.4}, kNoSkip);
+  EXPECT_EQ(runs, (std::vector<DelayRun>{
+                      {0.1, 0, 0, 1}, {0.2, 1, 1, 1}, {0.3, 2, 2, 1},
+                      {0.4, 3, 3, 1}}));
+}
+
+TEST(ForEachDelayRun, SkippedFirstIndexStartsTheFirstRunAfterIt) {
+  // The skipped index's delay is never drawn, so it cannot split a run.
+  const auto runs = checked_runs({9.0, 0.5, 0.5, 0.7}, 0);
+  EXPECT_EQ(runs, (std::vector<DelayRun>{{0.5, 1, 2, 2}, {0.7, 3, 3, 1}}));
+}
+
+TEST(ForEachDelayRun, SkippedMiddleIndexDoesNotBreakARun) {
+  const auto runs = checked_runs({0.5, 0.5, 9.0, 0.5, 0.7}, 2);
+  EXPECT_EQ(runs, (std::vector<DelayRun>{{0.5, 0, 3, 3}, {0.7, 4, 4, 1}}));
+}
+
+TEST(ForEachDelayRun, SkippedLastIndexEndsTheLastRunBeforeIt) {
+  const auto runs = checked_runs({0.7, 0.5, 0.5, 9.0}, 3);
+  EXPECT_EQ(runs, (std::vector<DelayRun>{{0.7, 0, 0, 1}, {0.5, 1, 2, 2}}));
+}
+
+TEST(ForEachDelayRun, EmptyAndFullySkippedInputsEmitNothing) {
+  EXPECT_TRUE(checked_runs({}, kNoSkip).empty());
+  EXPECT_TRUE(checked_runs({0.5}, 0).empty());
 }
 
 }  // namespace

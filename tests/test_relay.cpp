@@ -421,5 +421,47 @@ TEST(RelayWorld, PhysicalMessageAccounting) {
   EXPECT_GE(result.physical_messages, result.floods * 6);
 }
 
+/// The CheckFailure message RelayWorld's constructor throws for `config`,
+/// or an empty string when construction succeeds.
+std::string construction_error(const RelayConfig& config) {
+  const auto params = core::derive_cps_params(effective_model(config));
+  core::CpsConfig cps;
+  cps.params = params;
+  try {
+    RelayWorld world(config, [cps](NodeId) {
+      return std::make_unique<core::CpsNode>(cps);
+    });
+  } catch (const util::CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RelayWorld, RejectsCustomClockKind) {
+  // RelayConfig carries no clock vector, so kCustom has nothing to copy; it
+  // must not silently become a random walk.
+  RelayConfig config;
+  config.topology = Topology::ring(6);
+  config.hop_model = hop_model(6, 1);
+  config.clock_kind = sim::ClockKind::kCustom;
+  const std::string error = construction_error(config);
+  EXPECT_NE(error.find("kCustom is supported only by sim::World"),
+            std::string::npos)
+      << error;
+  config.clock_kind = sim::ClockKind::kRandomWalk;
+  EXPECT_EQ(construction_error(config), "");
+}
+
+TEST(RelayWorld, RejectsDuplicateFaultyIds) {
+  RelayConfig config;
+  config.topology = Topology::complete(5);
+  config.hop_model = hop_model(5, 2);
+  config.faulty = {1, 1};  // within the budget f = 2, but one node twice
+  const std::string error = construction_error(config);
+  EXPECT_NE(error.find("duplicate faulty id 1"), std::string::npos) << error;
+  config.faulty = {1, 2};
+  EXPECT_EQ(construction_error(config), "");
+}
+
 }  // namespace
 }  // namespace crusader::relay
